@@ -5,7 +5,7 @@
 // Reads commands from stdin.
 //
 //   ./build/examples/warehouse_shell [pos_rows] [data_dir] [http_port]
-//                                    [num_shards] [num_replicas]
+//                                    [num_replicas]
 //
 // `data_dir` holds the WAL and checkpoints (default: a per-process temp
 // directory, wiped on exit). Start from a fresh directory when changing
@@ -13,11 +13,12 @@
 // `http_port` starts the embedded scrape endpoint on 127.0.0.1 (0 =
 // pick an ephemeral port; the bound port is printed at startup). Routes:
 // /metrics /healthz /varz /epochs /events /timeseries /profile /anomalies.
-// `num_shards` > 0 shards the refresh phase by group key (DESIGN.md
-// §15); `num_replicas` > 0 starts that many epoch-shipping read
-// replicas at boot (more can be added with `replicas start <n>`). The
-// writer always publishes installed epochs to <data_dir>/ship.log, so
-// replicas can attach at any time.
+// `http_port` -1 leaves the endpoint off. `num_replicas` > 0
+// starts that many epoch-shipping read replicas at boot (DESIGN.md
+// §15; more can be added with `replicas start <n>`). The writer always
+// publishes installed epochs to <data_dir>/ship.log, so replicas can
+// attach at any time. A malformed numeric argument prints the usage
+// line and exits with status 2.
 //
 // Commands:
 //   CREATE VIEW ...   define + materialize a summary table (SQL dialect)
@@ -48,8 +49,6 @@
 //                     cumulative self-time profile of the maintenance
 //                     path; `collapsed` prints flamegraph.pl input
 //   anomalies         detector state + flight-recorder bundles on disk
-//   shards            per-shard epochs, slice rows, and routed delta
-//                     rows (requires num_shards > 0 at startup)
 //   replicas          read-replica status: applied epoch/seq, cursor,
 //                     and epoch lag behind the writer
 //   replicas start <n>
@@ -64,9 +63,13 @@
 //                     key stats (see DESIGN.md §8)
 //   save <dir>        snapshot catalog + summaries
 //   help, quit
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -75,7 +78,6 @@
 #include "replica/ship.h"
 #include "replica/transport.h"
 #include "service/service.h"
-#include "shard/sharded_maintenance.h"
 #include "warehouse/persistence.h"
 #include "warehouse/retail_schema.h"
 #include "warehouse/warehouse.h"
@@ -93,8 +95,7 @@ void PrintHelp() {
       "          explain [analyze] <kind> <n> [dot|json] |\n"
       "          service <stats|flush|checkpoint|slo|events> | metrics |\n"
       "          history [metric] | profile [collapsed] | anomalies |\n"
-      "          shards | replicas [start <n> | catchup | query <i> "
-      "SELECT ...] |\n"
+      "          replicas [start <n> | catchup | query <i> SELECT ...] |\n"
       "          mqo | dicts | save <dir> | help | quit\n");
 }
 
@@ -261,25 +262,24 @@ void PrintAnomalies(service::WarehouseService& svc) {
   }
 }
 
-void PrintShards(service::WarehouseService& svc) {
-  const shard::ShardedMaintenance* sh = svc.sharded();
-  if (sh == nullptr) {
-    std::printf(
-        "unsharded service; restart with a shard count:\n"
-        "  warehouse_shell <pos_rows> <data_dir> <http_port> <num_shards>\n");
-    return;
+constexpr const char* kUsage =
+    "usage: warehouse_shell [pos_rows] [data_dir] [http_port] "
+    "[num_replicas]\n";
+
+/// Parses the whole of `arg` as a T within [lo, hi]; anything else
+/// (empty, trailing characters, out of range) prints the usage line and
+/// exits non-zero.
+template <typename T>
+T ParseArg(const char* name, const char* arg, T lo, T hi) {
+  const char* end = arg + std::strlen(arg);
+  T value{};
+  const std::from_chars_result r = std::from_chars(arg, end, value);
+  if (r.ec != std::errc() || r.ptr != end || value < lo || value > hi) {
+    std::fprintf(stderr, "warehouse_shell: bad %s '%s'\n%s", name, arg,
+                 kUsage);
+    std::exit(2);
   }
-  std::printf("%zu shards over %zu views\n", sh->num_shards(),
-              sh->num_views());
-  for (size_t s = 0; s < sh->num_shards(); ++s) {
-    std::printf(
-        "  shard %-3zu epoch %-6llu rows %-8zu delta rows last=%-8llu "
-        "total=%llu\n",
-        s, static_cast<unsigned long long>(sh->shard_epoch(s)),
-        sh->ShardRows(s),
-        static_cast<unsigned long long>(sh->last_delta_rows(s)),
-        static_cast<unsigned long long>(sh->total_delta_rows(s)));
-  }
+  return value;
 }
 
 /// The shell's replica fleet: every replica tails the writer's durable
@@ -398,7 +398,9 @@ void RunExplainCommand(service::WarehouseService& svc, std::istringstream& in,
 
 int main(int argc, char** argv) {
   warehouse::RetailConfig config;
-  config.num_pos_rows = argc > 1 ? std::stoul(argv[1]) : 20000;
+  constexpr size_t kMaxSize = std::numeric_limits<size_t>::max();
+  config.num_pos_rows =
+      argc > 1 ? ParseArg<size_t>("pos_rows", argv[1], 0, kMaxSize) : 20000;
   const bool temp_data_dir = argc <= 2;
   const std::string data_dir =
       temp_data_dir ? (std::filesystem::temp_directory_path() /
@@ -414,9 +416,11 @@ int main(int argc, char** argv) {
   // (per-batch history, maintenance profile, anomaly flight recorder).
   options.profile = true;
   options.anomaly.enabled = true;
-  if (argc > 3) options.http_port = std::stoi(argv[3]);
-  if (argc > 4) options.num_shards = std::stoul(argv[4]);
-  const size_t boot_replicas = argc > 5 ? std::stoul(argv[5]) : 0;
+  if (argc > 3) {
+    options.http_port = ParseArg<int>("http_port", argv[3], -1, 65535);
+  }
+  const size_t boot_replicas =
+      argc > 4 ? ParseArg<size_t>("num_replicas", argv[4], 0, kMaxSize) : 0;
 
   // The writer always publishes installed epochs durably, so replicas
   // can attach later (or across restarts) without missing history.
@@ -433,10 +437,6 @@ int main(int argc, char** argv) {
       "retail warehouse service ready: pos=%zu rows, data dir %s.\n"
       "Type 'help'.\n",
       config.num_pos_rows, data_dir.c_str());
-  if (options.num_shards > 0) {
-    std::printf("refresh sharded %zu ways (see 'shards')\n",
-                options.num_shards);
-  }
   if (boot_replicas > 0) StartReplicas(*svc, fleet, config, boot_replicas);
   if (svc->http_port() >= 0) {
     std::printf(
@@ -533,8 +533,6 @@ int main(int argc, char** argv) {
         PrintProfile(*svc, format);
       } else if (upper == "ANOMALIES") {
         PrintAnomalies(*svc);
-      } else if (upper == "SHARDS") {
-        PrintShards(*svc);
       } else if (upper == "REPLICAS") {
         std::string sub;
         in >> sub;

@@ -106,8 +106,8 @@ class SummaryTable {
 /// under Value::Compare. Summary schemas lead with the group-by columns
 /// and keys are unique, so the order is total and the sorted CSV of a
 /// summary table is a pure function of its *contents* — the byte-compare
-/// anchor for sharded composition (src/shard/) and replica convergence
-/// (src/replica/), where insertion order legitimately differs.
+/// anchor for replica convergence (src/replica/), where insertion order
+/// legitimately differs.
 rel::Table CanonicalizeRows(const rel::Table& physical_rows);
 
 }  // namespace sdelta::core

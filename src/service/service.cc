@@ -135,21 +135,12 @@ std::unique_ptr<WarehouseService> WarehouseService::Open(
   // Replay the WAL tail through the normal batch path, one batch per
   // record — the same boundaries an uninterrupted per-append-flush run
   // would have used, so the recovered state is byte-identical to it.
-  // With sharding on, replay runs through a local sharded pipeline so
-  // shard.delta_rows counters stay consistent with propagate.delta_rows
-  // (the prom_lint cross-check); the slices are synced back and
-  // discarded — they hold a pointer to `wh`, which moves below, and the
-  // constructor re-slices from the warehouse anyway. With a ship sink
-  // configured, every replayed record is collected for re-publication
-  // (a record can be WAL-durable yet never shipped if the crash hit
-  // between append and batch; replicas dedup re-ships by sequence).
+  // With a ship sink configured, every replayed record is collected for
+  // re-publication (a record can be WAL-durable yet never shipped if the
+  // crash hit between append and batch; replicas dedup re-ships by
+  // sequence).
   uint64_t recovered = 0;
   std::vector<replica::ShipRecord> replay_ships;
-  std::unique_ptr<shard::ShardedMaintenance> replay_shards;
-  if (options.num_shards > 0) {
-    replay_shards = std::make_unique<shard::ShardedMaintenance>(
-        &wh, options.num_shards, metrics);
-  }
   const WalReplayReport replay =
       ReplayWal((dir / kWalFile).string(), wh.catalog(), checkpoint_seq,
                 [&](WalRecord record) {
@@ -160,17 +151,9 @@ std::unique_ptr<WarehouseService> WarehouseService::Open(
                     ship.payload = EncodeChangeSet(record.changes);
                     replay_ships.push_back(std::move(ship));
                   }
-                  if (replay_shards != nullptr) {
-                    replay_shards->RunBatch(record.changes);
-                  } else {
-                    wh.RunBatch(record.changes);
-                  }
+                  wh.RunBatch(record.changes);
                   ++recovered;
                 });
-  if (replay_shards != nullptr) {
-    replay_shards->SyncIntoWarehouse();
-    replay_shards.reset();
-  }
   if (replay.tail_truncated) {
     // Cut the torn tail before the WalWriter below opens with O_APPEND:
     // records acknowledged after the garbage bytes would be invisible to
@@ -246,10 +229,6 @@ WarehouseService::WarehouseService(
                    static_cast<double>(recovered_records),
                    "WAL tail replayed by Open");
   }
-  if (options_.num_shards > 0) {
-    sharded_ = std::make_unique<shard::ShardedMaintenance>(
-        &warehouse_, options_.num_shards, metrics_);
-  }
   if (options_.ship != nullptr) {
     // Re-ship WAL-recovered batches (each under a fresh epoch number —
     // replicas that already hold one skip it by sequence), then floor
@@ -323,12 +302,7 @@ std::shared_ptr<const Epoch> WarehouseService::BuildEpoch(
     }
     auto copy =
         std::make_shared<core::SummaryTable>(wl.views[i], *next->catalog);
-    // Sharded mode: the slices are authoritative (the warehouse's own
-    // summary rows go stale between syncs); compose them for readers.
-    copy->LoadFrom(sharded_ != nullptr
-                       ? sharded_->ComposeView(i)
-                       : warehouse_.summary(wl.views[i].physical.name)
-                             .ToTable());
+    copy->LoadFrom(warehouse_.summary(wl.views[i].physical.name).ToTable());
     next->views.push_back(std::move(copy));
     metrics_->Add("service.epoch_views_rebuilt");
   }
@@ -460,8 +434,7 @@ void WarehouseService::ApplyItems(std::vector<IngestItem> items) {
                                       merged);
       have_explain = true;
     }
-    report = sharded_ != nullptr ? sharded_->RunBatch(merged)
-                                 : warehouse_.RunBatch(merged);
+    report = warehouse_.RunBatch(merged);
     if (have_explain) lattice::AttachActuals(report.step_execs, &explain);
     if (profiler_ != nullptr) {
       for (const lattice::StepExecution& se : report.step_execs) {
@@ -610,10 +583,6 @@ void WarehouseService::Checkpoint() {
   const fs::path prev = dir / kCheckpointPrev;
   std::error_code ec;
   fs::remove_all(tmp, ec);
-  // Sharded mode keeps authoritative rows in the slices; fold them back
-  // into the warehouse so the snapshot (and any replica bootstrapping
-  // from it) carries current summaries.
-  if (sharded_ != nullptr) sharded_->SyncIntoWarehouse();
   warehouse::SaveWarehouse(warehouse_, tmp.string());
   WriteSeqFile(tmp / kSeqFile, target);
   // The applied-epoch floor for a replica bootstrapping from this
@@ -644,12 +613,7 @@ void WarehouseService::WithWriter(
   const uint64_t target = last_seq_.load();
   queue_.RequestFlush();
   AwaitApplied(target);
-  // DDL reads/writes warehouse state directly: fold the authoritative
-  // slice rows in first, and re-slice afterwards (the view set or
-  // schemas may have changed).
-  if (sharded_ != nullptr) sharded_->SyncIntoWarehouse();
   fn(warehouse_);
-  if (sharded_ != nullptr) sharded_->Repartition();
   // DDL may have changed the lattice, plans, and summary schemas:
   // readers get a fully fresh epoch.
   versioned_.Install(BuildEpoch(nullptr, true, /*full_rebuild=*/true));

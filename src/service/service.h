@@ -23,7 +23,6 @@
 #include "service/ingest.h"
 #include "service/versioned.h"
 #include "service/wal.h"
-#include "shard/sharded_maintenance.h"
 #include "warehouse/warehouse.h"
 
 namespace sdelta::service {
@@ -104,14 +103,6 @@ class WarehouseService {
     obs::AnomalyConfig anomaly;
     /// Flight-recorder retention: newest bundles kept on disk.
     size_t max_anomaly_bundles = 8;
-    /// Shard the refresh phase by group key (DESIGN.md §15): each
-    /// view's summary state is split into this many hash-disjoint
-    /// slices that refresh as independent per-shard pipelines. 0 = the
-    /// legacy unsharded path (exactly PR-before behavior); summaries
-    /// are byte-identical at every setting. WAL recovery replays
-    /// through the same sharded pipeline so shard.* counters stay
-    /// consistent with propagate.* counters.
-    size_t num_shards = 0;
     /// Epoch shipping (DESIGN.md §15): after each epoch install the
     /// maintenance thread publishes one ShipRecord (the batch's
     /// coalesced change set + seq range + epoch) for read replicas to
@@ -210,10 +201,6 @@ class WarehouseService {
   Stats GetStats() const;
   /// The batch report of the most recent maintenance batch.
   warehouse::BatchReport LastReport() const;
-  /// The sharded pipeline; null when Options::num_shards == 0. Shell
-  /// introspection only (per-shard rows/deltas/epochs) — mutation stays
-  /// with the maintenance thread.
-  const shard::ShardedMaintenance* sharded() const { return sharded_.get(); }
   obs::MetricsRegistry& metrics() { return *metrics_; }
   const std::string& data_dir() const { return data_dir_; }
 
@@ -304,11 +291,6 @@ class WarehouseService {
   /// and WithWriter after they hold wal_mu_ and observe
   /// applied_seq_ == last_seq_.
   warehouse::Warehouse warehouse_;
-
-  /// The sharded refresh pipeline over warehouse_; null when
-  /// Options::num_shards == 0. Owned by whoever owns warehouse_ at the
-  /// time (maintenance thread / Checkpoint / WithWriter).
-  std::unique_ptr<shard::ShardedMaintenance> sharded_;
 
   VersionedTables versioned_;
 

@@ -141,6 +141,7 @@ class Reader {
     }
   }
   bool AtEnd() const { return pos_ == size_; }
+  size_t remaining() const { return size_ - pos_; }
 
  private:
   void Need(size_t n) {
@@ -157,6 +158,13 @@ void ReadTableInto(Reader& in, rel::Table& out) {
     throw std::runtime_error("WAL: table arity mismatch for " + out.name());
   }
   const uint64_t rows = in.U64();
+  // Every encoded value takes at least its tag byte, so a row count the
+  // rest of the payload cannot hold is corrupt: reject it before Reserve
+  // turns it into a huge allocation.
+  if (cols > 0 && rows > in.remaining() / cols) {
+    throw std::runtime_error("WAL: row count exceeds payload for " +
+                             out.name());
+  }
   out.Reserve(out.NumRows() + rows);
   for (uint64_t r = 0; r < rows; ++r) {
     rel::Row row;

@@ -163,35 +163,6 @@ core::SummaryTable& Warehouse::summary_mutable(const std::string& name) {
 }
 
 BatchReport Warehouse::RunBatch(const core::ChangeSet& changes) {
-  return RunBatchWithRefresh(
-      changes, [this](const lattice::LatticePropagateResult& deltas,
-                      core::RefreshOptions ropts, BatchReport* report) {
-        report->views.resize(summaries_.size());
-        // Refresh every view, one per-view report slot so the report
-        // order matches the serial loop regardless of scheduling. Views
-        // are independent: each refresh mutates only its own summary
-        // table and reads the (already updated) base tables.
-        auto refresh_view = [&](size_t i) {
-          ViewBatchReport& vr = report->views[i];
-          vr.view = summaries_[i].name();
-          vr.delta_rows = deltas.deltas[i].NumRows();
-          vr.refresh =
-              core::Refresh(catalog_, summaries_[i], deltas.deltas[i], ropts);
-        };
-        if (pool_ != nullptr) {
-          exec::TaskGroup group(pool_.get());
-          for (size_t i = 0; i < summaries_.size(); ++i) {
-            group.Spawn([&refresh_view, i] { refresh_view(i); });
-          }
-          group.Wait();
-        } else {
-          for (size_t i = 0; i < summaries_.size(); ++i) refresh_view(i);
-        }
-      });
-}
-
-BatchReport Warehouse::RunBatchWithRefresh(const core::ChangeSet& changes,
-                                           const RefreshPhase& refresh_phase) {
   // The pipeline always writes into a registry — the caller's when one
   // is attached, else a batch-local scratch — and the report is read
   // back out of it, so there is exactly one set of counters.
@@ -241,7 +212,27 @@ BatchReport Warehouse::RunBatchWithRefresh(const core::ChangeSet& changes,
     obs::TraceSpan refresh_span(tracer, "refresh");
     // Pool workers have no open spans; parent refresh.view explicitly.
     if (pool_ != nullptr) ropts.parent_span = refresh_span.id();
-    refresh_phase(deltas, ropts, &report);
+    report.views.resize(summaries_.size());
+    // Refresh every view, one per-view report slot so the report order
+    // matches the serial loop regardless of scheduling. Views are
+    // independent: each refresh mutates only its own summary table and
+    // reads the (already updated) base tables.
+    auto refresh_view = [&](size_t i) {
+      ViewBatchReport& vr = report.views[i];
+      vr.view = summaries_[i].name();
+      vr.delta_rows = deltas.deltas[i].NumRows();
+      vr.refresh =
+          core::Refresh(catalog_, summaries_[i], deltas.deltas[i], ropts);
+    };
+    if (pool_ != nullptr) {
+      exec::TaskGroup group(pool_.get());
+      for (size_t i = 0; i < summaries_.size(); ++i) {
+        group.Spawn([&refresh_view, i] { refresh_view(i); });
+      }
+      group.Wait();
+    } else {
+      for (size_t i = 0; i < summaries_.size(); ++i) refresh_view(i);
+    }
   }
   m.Set("batch.refresh_seconds", sw.ElapsedSeconds());
 

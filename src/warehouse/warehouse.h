@@ -1,7 +1,6 @@
 #ifndef SDELTA_WAREHOUSE_WAREHOUSE_H_
 #define SDELTA_WAREHOUSE_WAREHOUSE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -144,22 +143,6 @@ class Warehouse {
   /// window), apply the change set to the base tables, refresh every
   /// summary table (inside the window).
   BatchReport RunBatch(const core::ChangeSet& changes);
-
-  /// The refresh phase of a batch, owned by the caller: receives the
-  /// propagated summary-deltas (parallel to vlattice().views), the
-  /// resolved refresh options (tracer/metrics wired, parent_span set
-  /// when a pool will run the phase's tasks), and must fill
-  /// report->views. The sharded pipeline (src/shard/) substitutes
-  /// per-shard slice refreshes here while reusing the batch shell.
-  using RefreshPhase =
-      std::function<void(const lattice::LatticePropagateResult& deltas,
-                         core::RefreshOptions ropts, BatchReport* report)>;
-
-  /// RunBatch with a caller-owned refresh phase: propagate, apply-base,
-  /// then `refresh_phase` — with identical timing, tracing, and metric
-  /// accounting to RunBatch (which is this with the default phase).
-  BatchReport RunBatchWithRefresh(const core::ChangeSet& changes,
-                                  const RefreshPhase& refresh_phase);
 
   /// EXPLAIN: the annotated maintenance-plan tree for a change set —
   /// per-step source (after dimension-delta edge gating), wave, and

@@ -57,24 +57,22 @@ struct Writer {
   rel::Catalog mirror;
   std::unique_ptr<service::WarehouseService> svc;
 
-  Writer(const std::string& tag, ShipPublisher* ship, size_t num_shards = 0)
+  Writer(const std::string& tag, ShipPublisher* ship)
       : dir(fs::temp_directory_path() /
             ("sdelta_replica_test_" + std::to_string(::getpid()) + "_" + tag)),
         mirror(warehouse::MakeRetailCatalog(SmallConfig())) {
     fs::remove_all(dir);
-    svc = OpenService(ship, num_shards);
+    svc = OpenService(ship);
   }
   ~Writer() {
     svc.reset();
     fs::remove_all(dir);
   }
 
-  std::unique_ptr<service::WarehouseService> OpenService(ShipPublisher* ship,
-                                                         size_t num_shards) {
+  std::unique_ptr<service::WarehouseService> OpenService(ShipPublisher* ship) {
     service::WarehouseService::Options options;
     options.auto_batching = false;  // deterministic batch boundaries
     options.ship = ship;
-    options.num_shards = num_shards;
     return service::WarehouseService::Open(
         dir.string(), warehouse::MakeRetailCatalog(SmallConfig()),
         warehouse::RetailSummaryTables(), options);
@@ -138,23 +136,6 @@ TEST(ReplicaTest, ConvergesByteIdenticalPerEpoch) {
               CanonicalViews(writer.svc->Snapshot()));
   }
   EXPECT_EQ(replica->applied_seq(), writer.svc->GetStats().applied_seq);
-}
-
-TEST(ReplicaTest, ShardedWriterShipsTheSameStream) {
-  // Sharding is a writer-side topology choice: a (unsharded) replica of
-  // a sharded writer converges to the same bytes, because the stream
-  // carries change sets, not layout.
-  LoopbackShipTransport loop;
-  Writer writer("shardedw", &loop, /*num_shards=*/4);
-  std::unique_ptr<ReadReplica> replica = OpenReplica("shardedw", &loop);
-  ReplicaDirGuard guard(replica->data_dir());
-
-  for (uint64_t seed : {501u, 502u}) {
-    writer.Step(seed);
-    replica->Catchup();
-    EXPECT_EQ(CanonicalViews(replica->Snapshot()),
-              CanonicalViews(writer.svc->Snapshot()));
-  }
 }
 
 TEST(ReplicaTest, CorruptRecordIsRejectedAndReRequested) {
@@ -302,7 +283,7 @@ TEST(ReplicaTest, WriterRestartReshipsWalRecoveredBatches) {
 
   // Reopen the same data dir with the ship sink attached: the WAL tail
   // (never checkpointed) replays and re-ships.
-  writer.svc = writer.OpenService(&loop, /*num_shards=*/0);
+  writer.svc = writer.OpenService(&loop);
   EXPECT_EQ(loop.records(), 2u);
   EXPECT_EQ(CanonicalViews(writer.svc->Snapshot()), writer_state);
 

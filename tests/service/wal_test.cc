@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <vector>
 
 #include "relational/csv.h"
@@ -78,6 +80,20 @@ TEST_F(WalTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(ChangesCsv(decoded), ChangesCsv(changes));
   // Deterministic encoding: identical change sets → identical bytes.
   EXPECT_EQ(EncodeChangeSet(decoded), payload);
+}
+
+TEST_F(WalTest, HugeRowCountIsRejectedWithoutAllocation) {
+  const core::ChangeSet changes = MakeChanges(13);
+  std::vector<uint8_t> payload = EncodeChangeSet(changes);
+  // Layout: fact table name (u32 length + bytes), then the fact
+  // insertions table (u32 column count + u64 row count + values).
+  const size_t rows_off = 4 + changes.fact_table.size() + 4;
+  ASSERT_LT(rows_off + 8, payload.size());
+  const uint64_t huge_rows = 0x20000000c8ULL;
+  for (size_t i = 0; i < 8; ++i) {
+    payload[rows_off + i] = static_cast<uint8_t>(huge_rows >> (8 * i));
+  }
+  EXPECT_THROW(DecodeChangeSet(catalog_, payload), std::runtime_error);
 }
 
 TEST_F(WalTest, AppendAndReplay) {

@@ -365,38 +365,6 @@ TEST(PromLintTest, ReplicaAtOrBehindWriterLintsClean) {
   EXPECT_TRUE(LintPrometheusText(doc).empty());
 }
 
-TEST(PromLintTest, ShardDeltaRowsMustPartitionPropagateTotal) {
-  const char* doc =
-      "# TYPE sdelta_propagate_delta_rows_total counter\n"
-      "sdelta_propagate_delta_rows_total 100\n"
-      "# TYPE sdelta_shard_delta_rows_0_total counter\n"
-      "sdelta_shard_delta_rows_0_total 60\n"
-      "# TYPE sdelta_shard_delta_rows_1_total counter\n"
-      "sdelta_shard_delta_rows_1_total 30\n";
-  const auto problems = LintPrometheusText(doc);
-  ASSERT_EQ(problems.size(), 1u);
-  EXPECT_NE(problems[0].find("partition"), std::string::npos);
-}
-
-TEST(PromLintTest, ShardDeltaRowsSummingExactlyLintsClean) {
-  const char* doc =
-      "# TYPE sdelta_propagate_delta_rows_total counter\n"
-      "sdelta_propagate_delta_rows_total 100\n"
-      "# TYPE sdelta_shard_delta_rows_0_total counter\n"
-      "sdelta_shard_delta_rows_0_total 60\n"
-      "# TYPE sdelta_shard_delta_rows_1_total counter\n"
-      "sdelta_shard_delta_rows_1_total 40\n";
-  EXPECT_TRUE(LintPrometheusText(doc).empty());
-}
-
-TEST(PromLintTest, UnshardedDocumentSkipsThePartitionCheck) {
-  // No shard counters at all: the propagate total stands alone.
-  const char* doc =
-      "# TYPE sdelta_propagate_delta_rows_total counter\n"
-      "sdelta_propagate_delta_rows_total 100\n";
-  EXPECT_TRUE(LintPrometheusText(doc).empty());
-}
-
 TEST(PromLintTest, AbsentDiagnosticFamiliesSkipTheCrossChecks) {
   // A service with the anomaly layer off exports neither series; the
   // cross-family checks must not demand them.

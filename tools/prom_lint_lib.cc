@@ -450,34 +450,6 @@ class Linter {
     // installed epoch (epochs only exist once the writer ships them).
     require_le("sdelta_replica_applied_epoch",
                "sdelta_writer_installed_epoch");
-    // Sharding: the per-shard delta-row counters partition the
-    // pipeline-wide propagate counter — their sum must match exactly.
-    {
-      const std::optional<double> total =
-          value("sdelta_propagate_delta_rows_total");
-      double shard_sum = 0;
-      bool any_shard = false;
-      const std::string prefix = "sdelta_shard_delta_rows_";
-      const std::string suffix = "_total";
-      for (const auto& [name, v] : scalar_values_) {
-        if (name.rfind(prefix, 0) != 0) continue;
-        if (name.size() < prefix.size() + suffix.size() ||
-            name.compare(name.size() - suffix.size(), suffix.size(),
-                         suffix) != 0) {
-          continue;
-        }
-        shard_sum += v;
-        any_shard = true;
-      }
-      if (any_shard && total.has_value() && shard_sum != *total) {
-        errors_.push_back(
-            "document: shard delta-row counters sum to " +
-            std::to_string(shard_sum) + " but " +
-            "'sdelta_propagate_delta_rows_total' is " +
-            std::to_string(*total) +
-            " (per-shard counters must partition the propagate total)");
-      }
-    }
   }
 
   std::vector<std::string> errors_;

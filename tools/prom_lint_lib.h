@@ -38,11 +38,8 @@ namespace sdelta::tools {
 ///     mqo counters obey materialized <= detected and materialized <=
 ///     rule fires — each check applies only when both series appear in
 ///     the document;
-///   * replication/sharding semantics: replica_applied_epoch <=
-///     writer_installed_epoch, and the per-shard
-///     shard_delta_rows_<s>_total counters sum exactly to
-///     propagate_delta_rows_total — again only when the relevant series
-///     are present.
+///   * replication semantics: replica_applied_epoch <=
+///     writer_installed_epoch — again only when both series are present.
 ///
 /// Returns the list of problems, one human-readable line each, with
 /// 1-based line numbers; empty = the document lints clean.
