@@ -4,9 +4,11 @@
 // ties or beats a group's extremum, the group must be recomputed from
 // base data. This bench compares:
 //   * Batched   — collect all affected groups, recompute them in ONE
-//                 scan of the base data (our default);
-//   * PerGroup  — scan the base data once per affected group (the
+//                 pass over the base data (our default);
+//   * PerGroup  — one pass over the base data per affected group (the
 //                 naive reading of Figure 7).
+// Each pass feeds only the fact rows matching its groups' fact-side
+// key columns to the join and GroupBy (base_rows_scanned counts them).
 // The gap grows with the number of affected groups per batch.
 #include <benchmark/benchmark.h>
 

@@ -4,6 +4,7 @@
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "core/propagate.h"
 #include "core/view_def.h"
@@ -161,213 +162,119 @@ void UpdateInPlace(const RefreshLayout& layout, Row& old_row,
   }
 }
 
-/// Recomputes every group in `keys` (assumed distinct — summary-delta
-/// keys are grouped) from the (already updated) base data in one
-/// streaming pass over the fact table, writing the fresh rows into the
-/// summary table. Returns rows scanned.
-size_t BatchRecompute(const rel::Catalog& catalog, SummaryTable& view,
-                      const std::vector<GroupKey>& keys,
-                      RefreshStats* stats) {
-  if (keys.empty()) return 0;
-  const ViewDef& def = view.def().physical;
+/// The fact rows that can feed a group in `keys`: those whose group-by
+/// columns on the fact table match the fact-side part of some key. Keys
+/// and rows encode through one codec over the fact columns, whose NULL
+/// sentinel makes NULL match NULL as GROUP BY does (a HashJoin semi-join
+/// would drop NULL keys); values that escape the packed layout go
+/// through a boxed set. nullopt when no group column is on the fact
+/// table: every row may then contribute.
+std::optional<Table> FactRowsForKeys(const rel::Catalog& catalog,
+                                     const ViewDef& def,
+                                     const std::vector<GroupKey>& keys) {
   const Table& fact = catalog.GetTable(def.fact_table);
-
-  // Per-join lookup: dim key value -> dim row (FK joins are 1:1). The
-  // single-column key packs through a codec over the dim key column —
-  // probes then encode the fact FK value instead of boxing it into a
-  // one-element GroupKey per fact row. NULLs encode to the codec's null
-  // sentinel, preserving the historical NULL-matches-NULL behaviour of
-  // this lookup (unlike HashJoin, which skips NULL keys).
-  struct DimLookup {
-    const Table* dim;
-    size_t fact_col;  // index in fact schema
-    size_t dim_key_col;
-    std::vector<size_t> fact_key_idx;  // {fact_col}, for EncodeRow
-    std::vector<size_t> dim_key_idx;   // {dim_key_col}, for EncodeRow
-    std::vector<size_t> carried;  // non-key dim columns, in schema order
-    rel::PackedKeyCodec codec;
-    rel::FlatHashMap<rel::PackedKey, size_t, rel::PackedKeyHash> packed;
-    std::unordered_map<GroupKey, size_t, rel::GroupKeyHash> boxed;
-  };
-  std::vector<DimLookup> dims;
-  for (const DimensionJoin& j : def.joins) {
-    DimLookup dl;
-    dl.dim = &catalog.GetTable(j.dim_table);
-    dl.fact_col = fact.schema().Resolve(j.fact_column);
-    dl.dim_key_col = dl.dim->schema().Resolve(j.dim_column);
-    dl.fact_key_idx = {dl.fact_col};
-    dl.dim_key_idx = {dl.dim_key_col};
-    for (size_t c = 0; c < dl.dim->schema().NumColumns(); ++c) {
-      if (c != dl.dim_key_col) dl.carried.push_back(c);
-    }
-    dl.codec = rel::PackedKeyCodec::ForColumns(
-        dl.dim->schema(), dl.dim_key_idx, [&catalog](const rel::Column& c) {
-          return &catalog.dictionaries().ForColumn(c.name);
-        });
-    if (dl.codec.packable()) {
-      dl.packed.Reserve(dl.dim->NumRows());
-    } else {
-      dl.boxed.reserve(dl.dim->NumRows());
-    }
-    for (size_t r = 0; r < dl.dim->NumRows(); ++r) {
-      rel::PackedKey pk;
-      const bool packed =
-          dl.codec.packable() &&
-          dl.codec.EncodeColumns(*dl.dim, dl.dim_key_idx, r,
-                                 rel::PackedKeyCodec::StringMode::kIntern,
-                                 &pk) ==
-              rel::PackedKeyCodec::ColumnarEncode::kPacked;
-      if (packed) {
-        dl.packed.FindOrInsert(pk, r);  // keep-first, like emplace did
-      } else {
-        dl.boxed.emplace(GroupKey{dl.dim->ValueAt(r, dl.dim_key_col)}, r);
-      }
-    }
-    dims.push_back(std::move(dl));
-  }
-
-  // Bind the view's names against the joined schema.
+  // The joined schema starts with the fact columns, in fact order.
   const rel::Schema joined = JoinedSchema(catalog, def);
-  std::vector<size_t> group_idx;
-  for (const std::string& g : def.group_by) {
-    group_idx.push_back(joined.Resolve(g));
-  }
-  std::vector<rel::BoundExpression> agg_args;
-  for (const rel::AggregateSpec& a : def.aggregates) {
-    if (a.argument.has_value()) {
-      agg_args.push_back(a.argument->Bind(joined));
-    } else {
-      agg_args.emplace_back();
+  std::vector<size_t> positions;  // in the group key
+  std::vector<size_t> columns;    // in the fact table
+  for (size_t i = 0; i < def.group_by.size(); ++i) {
+    const size_t idx = joined.Resolve(def.group_by[i]);
+    if (idx < fact.schema().NumColumns()) {
+      positions.push_back(i);
+      columns.push_back(idx);
     }
   }
-  std::optional<rel::BoundExpression> where;
-  if (def.where.has_value()) where = def.where->Bind(joined);
+  if (columns.empty()) return std::nullopt;
 
-  // Recompute set, keyed through the view's own codec (first-appearance
-  // entries keep the original GroupKeys for the writeback below, in the
-  // deterministic order of `keys`).
-  const rel::PackedKeyCodec& vcodec = view.codec();
-  rel::FlatHashMap<rel::PackedKey, size_t, rel::PackedKeyHash> gpacked;
-  std::unordered_map<GroupKey, size_t, rel::GroupKeyHash> gboxed;
-  std::vector<std::pair<GroupKey, std::vector<rel::Accumulator>>> entries;
-  entries.reserve(keys.size());
-  if (vcodec.packable()) {
-    gpacked.Reserve(keys.size());
-  } else {
-    gboxed.reserve(keys.size());
-  }
+  rel::DictionaryArena arena;
+  const rel::PackedKeyCodec codec =
+      rel::PackedKeyCodec::ForTableColumns(fact, columns, &arena);
+  rel::FlatHashMap<rel::PackedKey, bool, rel::PackedKeyHash> packed;
+  std::unordered_set<GroupKey, rel::GroupKeyHash> boxed;
+  packed.Reserve(keys.size());
+  GroupKey part;
   for (const GroupKey& k : keys) {
-    std::vector<rel::Accumulator> accs;
-    for (const rel::AggregateSpec& a : def.aggregates) {
-      accs.emplace_back(a.kind);
-    }
+    part.clear();
+    for (size_t p : positions) part.push_back(k[p]);
     std::optional<rel::PackedKey> pk;
-    if (vcodec.packable()) pk = vcodec.EncodeKey(k);
+    if (codec.packable()) pk = codec.EncodeKey(part);
     if (pk.has_value()) {
-      auto [slot, inserted] = gpacked.FindOrInsert(*pk, entries.size());
-      if (inserted) entries.emplace_back(k, std::move(accs));
+      packed.FindOrInsert(*pk, true);
     } else {
-      auto [it, inserted] = gboxed.emplace(k, entries.size());
-      if (inserted) entries.emplace_back(k, std::move(accs));
+      boxed.insert(part);
     }
   }
 
-  uint64_t packed_probes = 0;
-  uint64_t fallback_probes = 0;
-  size_t scanned = 0;
-  const size_t fact_cols = fact.schema().NumColumns();
-  Row joined_row;
-  GroupKey key_scratch;
-  for (size_t fr = 0; fr < fact.NumRows(); ++fr) {
-    ++scanned;
-    joined_row.clear();
-    for (size_t c = 0; c < fact_cols; ++c) {
-      joined_row.push_back(fact.ValueAt(fr, c));
-    }
-    bool matched = true;
-    for (const DimLookup& dl : dims) {
-      const size_t* pos = nullptr;
-      rel::PackedKey pk;
-      const bool packed =
-          dl.codec.packable() &&
-          dl.codec.EncodeColumns(fact, dl.fact_key_idx, fr,
-                                 rel::PackedKeyCodec::StringMode::kIntern,
-                                 &pk) ==
-              rel::PackedKeyCodec::ColumnarEncode::kPacked;
-      if (packed) {
-        ++packed_probes;
-        pos = dl.packed.Find(pk);
-      } else {
-        ++fallback_probes;
-        key_scratch.clear();
-        key_scratch.push_back(joined_row[dl.fact_col]);
-        auto it = dl.boxed.find(key_scratch);
-        if (it != dl.boxed.end()) pos = &it->second;
-      }
-      if (pos == nullptr) {
-        matched = false;
-        break;
-      }
-      for (size_t c : dl.carried) {
-        joined_row.push_back(dl.dim->ValueAt(*pos, c));
-      }
-    }
-    if (!matched) continue;
-    if (where.has_value() && !where->EvalPredicate(joined_row)) continue;
-    std::vector<rel::Accumulator>* accs = nullptr;
-    std::optional<rel::PackedKey> pk;
-    if (vcodec.packable()) pk = vcodec.EncodeRow(joined_row, group_idx);
-    if (pk.has_value()) {
-      ++packed_probes;
-      const size_t* slot = gpacked.Find(*pk);
-      if (slot != nullptr) accs = &entries[*slot].second;
-    } else {
-      ++fallback_probes;
-      rel::ExtractKey(joined_row, group_idx, &key_scratch);
-      auto it = gboxed.find(key_scratch);
-      if (it != gboxed.end()) accs = &entries[it->second].second;
-    }
-    if (accs == nullptr) continue;
-    for (size_t i = 0; i < def.aggregates.size(); ++i) {
-      if (def.aggregates[i].kind == rel::AggregateKind::kCountStar) {
-        (*accs)[i].Add(Value::Null());
-      } else {
-        (*accs)[i].Add(agg_args[i].Eval(joined_row));
-      }
-    }
+  using Encode = rel::PackedKeyCodec::ColumnarEncode;
+  std::vector<size_t> hits;
+  for (size_t r = 0; r < fact.NumRows(); ++r) {
+    rel::PackedKey pk;
+    const Encode encoded =
+        codec.packable()
+            ? codec.EncodeColumns(fact, columns, r,
+                                  rel::PackedKeyCodec::StringMode::kLookupOnly,
+                                  &pk)
+            : Encode::kEscaped;
+    bool hit = false;
+    if (encoded == Encode::kPacked) {
+      hit = packed.Find(pk) != nullptr;
+    } else if (encoded == Encode::kEscaped) {
+      part.clear();
+      for (size_t c : columns) part.push_back(fact.ValueAt(r, c));
+      hit = boxed.count(part) > 0;
+    }  // kUnknownString: no key holds that string
+    if (hit) hits.push_back(r);
   }
-  if (stats != nullptr) {
-    stats->key_packed_ops += packed_probes;
-    stats->key_fallback_ops += fallback_probes;
-  }
+  Table out(fact.schema(), fact.name());
+  out.AppendGather(fact, hits);
+  return out;
+}
 
-  for (auto& [key, accs] : entries) {
-    Row fresh = key;
-    bool any_rows = false;
-    for (size_t i = 0; i < accs.size(); ++i) {
-      Value v = accs[i].Result();
-      if (def.aggregates[i].kind == rel::AggregateKind::kCountStar &&
-          !v.is_null() && v.as_int64() > 0) {
-        any_rows = true;
-      }
-      fresh.push_back(std::move(v));
+/// Recomputes every group in `keys` (assumed distinct — summary-delta
+/// keys are grouped) from the (already updated) base data and writes the
+/// fresh rows into the summary table, in `keys` order. Only the fact
+/// rows matching the keys run through the view's own HashJoin -> Select
+/// -> GroupBy pipeline, the one EvaluateView uses.
+void BatchRecompute(const rel::Catalog& catalog, SummaryTable& view,
+                    const std::vector<GroupKey>& keys, RefreshStats& stats) {
+  if (keys.empty()) return;
+  const ViewDef& def = view.def().physical;
+  const std::optional<Table> survivors = FactRowsForKeys(catalog, def, keys);
+  const Table& input = survivors.has_value()
+                           ? *survivors
+                           : catalog.GetTable(def.fact_table);
+  stats.recompute_scan_rows += input.NumRows();
+  const Table fresh =
+      rel::GroupBy(JoinedRelation(catalog, def, input),
+                   rel::GroupCols(def.group_by), def.aggregates);
+
+  std::unordered_map<GroupKey, size_t, rel::GroupKeyHash> fresh_rows;
+  for (size_t r = 0; r < fresh.NumRows(); ++r) {
+    GroupKey key;
+    for (size_t g = 0; g < def.group_by.size(); ++g) {
+      key.push_back(fresh.ValueAt(r, g));
     }
-    Row* row = view.FindMutable(key);
-    if (!any_rows) {
+    fresh_rows.emplace(std::move(key), r);
+  }
+  const size_t count_star = view.schema().Resolve(view.def().count_star_column);
+  for (const GroupKey& key : keys) {
+    auto it = fresh_rows.find(key);
+    if (it == fresh_rows.end() ||
+        AsCount(fresh.ValueAt(it->second, count_star)) <= 0) {
       // The group vanished from base data; a consistent delta would have
       // deleted it via COUNT(*), so treat as inconsistency.
       throw std::runtime_error(
           "refresh: recomputed group has no base rows in view " +
           view.name());
     }
+    Row* row = view.FindMutable(key);
     if (row == nullptr) {
-      view.Insert(std::move(fresh));
+      view.Insert(fresh.RowAt(it->second));
     } else {
-      *row = std::move(fresh);
+      *row = fresh.RowAt(it->second);
     }
-    if (stats != nullptr) ++stats->recomputed_groups;
+    ++stats.recomputed_groups;
   }
-  return scanned;
 }
 
 RefreshStats RefreshCursor(const rel::Catalog& catalog, SummaryTable& view,
@@ -427,10 +334,7 @@ RefreshStats RefreshCursor(const rel::Catalog& catalog, SummaryTable& view,
       if (options.batch_minmax_recompute) {
         recompute.push_back(std::move(key));
       } else {
-        std::vector<GroupKey> single;
-        single.push_back(std::move(key));
-        stats.recompute_scan_rows +=
-            BatchRecompute(catalog, view, single, &stats);
+        BatchRecompute(catalog, view, {std::move(key)}, stats);
       }
       continue;
     }
@@ -438,8 +342,7 @@ RefreshStats RefreshCursor(const rel::Catalog& catalog, SummaryTable& view,
     ++stats.updated;
   }
 
-  stats.recompute_scan_rows += BatchRecompute(catalog, view, recompute,
-                                              &stats);
+  BatchRecompute(catalog, view, recompute, stats);
   return stats;
 }
 
@@ -533,8 +436,7 @@ RefreshStats RefreshMerge(const rel::Catalog& catalog, SummaryTable& view,
 
   // Merge always batches MIN/MAX recomputation: the table was already
   // rewritten wholesale, so per-group scans would have no benefit.
-  stats.recompute_scan_rows += BatchRecompute(catalog, view, recompute_keys,
-                                              &stats);
+  BatchRecompute(catalog, view, recompute_keys, stats);
   return stats;
 }
 
@@ -585,9 +487,7 @@ RefreshStats Refresh(const rel::Catalog& catalog, SummaryTable& view,
       stats = RefreshMerge(catalog, view, summary_delta, options);
       break;
   }
-  // Fold this refresh's summary-table index traffic into the stats (the
-  // dim-lookup and recompute-set probes were already counted inside
-  // BatchRecompute).
+  // Fold this refresh's summary-table index traffic into the stats.
   stats.key_packed_ops += view.packed_key_ops() - packed_before;
   stats.key_fallback_ops += view.fallback_key_ops() - fallback_before;
   if (options.metrics != nullptr) {

@@ -23,7 +23,8 @@ enum class RefreshStrategy {
 struct RefreshOptions {
   RefreshStrategy strategy = RefreshStrategy::kCursor;
   /// Collect all groups whose MIN/MAX must be recomputed and recompute
-  /// them in one scan of the base data (true), or scan per group (false).
+  /// them in one pass over the base data (true), or one pass per group
+  /// (false).
   bool batch_minmax_recompute = true;
   /// Figure 7 recomputes a group whenever the delta MIN/MAX ties or
   /// beats the stored one — even for pure insertions, because the delta
@@ -50,19 +51,22 @@ struct RefreshStats {
   size_t deleted = 0;            ///< groups removed (COUNT(*) reached 0)
   size_t updated = 0;            ///< groups updated in place
   size_t recomputed_groups = 0;  ///< groups recomputed from base data
-  size_t recompute_scan_rows = 0;  ///< base rows scanned for recomputes
+  /// Fact rows fed to the recompute join and GroupBy: those whose
+  /// fact-side group-by columns match a recomputed group's key (every
+  /// fact row when no group column lives on the fact table).
+  size_t recompute_scan_rows = 0;
   /// Groups whose recompute was forced by the §3.1 MIN/MAX
   /// non-self-maintainability path — a deletion tied or beat a stored
   /// extremum (Figure 7's recompute test). A strict subset of
   /// recomputed_groups: recomputes of freshly appearing tainted groups
   /// (dimension moves) are excluded.
   size_t minmax_recomputes = 0;
-  /// Key-index operations during this refresh (summary-table probes,
-  /// inserts, erases, and recompute dimension probes), split by whether
-  /// the key took the packed fast path. Deterministic across thread
-  /// counts: each view's refresh is sequential over a byte-identical
-  /// delta. Feeds the shared key.packed_rows / key.fallback_rows
-  /// counters behind the key.packed_ratio gauge.
+  /// Summary-table key-index operations during this refresh (probes,
+  /// inserts and erases), split by whether the key took the packed fast
+  /// path. Deterministic across thread counts: each view's refresh is
+  /// sequential over a byte-identical delta. Feeds the shared
+  /// key.packed_rows / key.fallback_rows counters behind the
+  /// key.packed_ratio gauge.
   uint64_t key_packed_ops = 0;
   uint64_t key_fallback_ops = 0;
 

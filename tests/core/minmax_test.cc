@@ -248,5 +248,47 @@ TEST(MinMaxTest, MergeStrategyRecomputesToo) {
   EXPECT_EQ((*row)[st.schema().Resolve("EarliestSale")].as_int64(), 3);
 }
 
+TEST(MinMaxTest, NullForeignKeyRowsStayOutOfRecompute) {
+  // A fact row with a NULL foreign key joins nothing, not even a
+  // dimension row whose key is NULL: the recompute must see the same
+  // join EvaluateView does.
+  auto make_catalog = [] {
+    rel::Catalog c;
+    rel::Schema items_s;
+    items_s.AddColumn("itemID", rel::ValueType::kInt64);
+    items_s.AddColumn("category", rel::ValueType::kString);
+    Table items(items_s, "items");
+    items.Insert({Value::Int64(10), Value::String("food")});
+    items.Insert({Value::Null(), Value::String("food")});
+    c.AddTable(std::move(items));
+    rel::Schema pos_s;
+    for (const char* col : {"storeID", "itemID", "date", "qty"}) {
+      pos_s.AddColumn(col, rel::ValueType::kInt64);
+    }
+    Table pos(pos_s, "pos");
+    pos.Insert(PosRow(1, 10, 5, 1));
+    pos.Insert(PosRow(1, 10, 7, 1));
+    pos.Insert({Value::Int64(1), Value::Null(), Value::Int64(2),
+                Value::Int64(1)});
+    c.AddTable(std::move(pos));
+    c.DeclareForeignKey("pos", "itemID", "items", "itemID");
+    return c;
+  };
+  ViewDef v;
+  v.name = "SiC_sales";
+  v.fact_table = "pos";
+  v.joins = {DimensionJoin{"items", "itemID", "itemID"}};
+  v.group_by = {"storeID", "category"};
+  v.aggregates = {rel::CountStar("TotalCount"),
+                  rel::Min(Expression::Column("date"), "EarliestSale")};
+  auto make_changes = [](const rel::Catalog& cat) {
+    ChangeSet changes = EmptyChanges(cat);
+    changes.fact.deletions.Insert(PosRow(1, 10, 5, 1));  // the minimum
+    return changes;
+  };
+  sdelta::testing::ExpectMaintainedEqualsRecomputed(make_catalog, {v},
+                                                    make_changes);
+}
+
 }  // namespace
 }  // namespace sdelta::core
