@@ -291,8 +291,10 @@ RefreshStats RefreshCursor(const rel::Catalog& catalog, SummaryTable& view,
   for (size_t ti = 0; ti < summary_delta.NumRows(); ++ti) {
     const Row t = summary_delta.RowAt(ti);
     key.assign(t.begin(), t.begin() + layout.num_groups);
-    Row* old_row = view.FindMutable(key);
-    if (old_row == nullptr) {
+    // Read through the position; only the update-in-place path writes
+    // (and so copies the row's page if an epoch shares it).
+    const std::optional<size_t> pos = view.Locate(key);
+    if (!pos.has_value()) {
       const int64_t count = AsCount(t[layout.count_star_index]);
       if (count < 0) {
         throw std::runtime_error(
@@ -316,7 +318,8 @@ RefreshStats RefreshCursor(const rel::Catalog& catalog, SummaryTable& view,
       ++stats.inserted;
       continue;
     }
-    const int64_t count_after = AsCount((*old_row)[layout.count_star_index]) +
+    const Row& old_row = view.RowAt(*pos);
+    const int64_t count_after = AsCount(old_row[layout.count_star_index]) +
                                 AsCount(t[layout.count_star_index]);
     if (count_after < 0) {
       throw std::runtime_error(
@@ -329,7 +332,7 @@ RefreshStats RefreshCursor(const rel::Catalog& catalog, SummaryTable& view,
     }
     const bool may_have_deletions =
         !options.trust_untainted_minmax || layout.Tainted(t);
-    if (may_have_deletions && NeedsRecompute(layout, *old_row, t)) {
+    if (may_have_deletions && NeedsRecompute(layout, old_row, t)) {
       ++stats.minmax_recomputes;
       if (options.batch_minmax_recompute) {
         recompute.push_back(std::move(key));
@@ -338,7 +341,7 @@ RefreshStats RefreshCursor(const rel::Catalog& catalog, SummaryTable& view,
       }
       continue;
     }
-    UpdateInPlace(layout, *old_row, t);
+    UpdateInPlace(layout, view.MutableRowAt(*pos), t);
     ++stats.updated;
   }
 
@@ -360,7 +363,9 @@ RefreshStats RefreshMerge(const rel::Catalog& catalog, SummaryTable& view,
     return false;
   };
 
-  std::vector<Row> old_rows(view.rows().begin(), view.rows().end());
+  std::vector<Row> old_rows;
+  old_rows.reserve(view.NumRows());
+  for (size_t r = 0; r < view.NumRows(); ++r) old_rows.push_back(view.RowAt(r));
   std::vector<Row> delta_rows = summary_delta.MaterializeRows();
   std::sort(old_rows.begin(), old_rows.end(), key_less);
   std::sort(delta_rows.begin(), delta_rows.end(), key_less);

@@ -1,11 +1,50 @@
 #include "lattice/answer.h"
 
 #include <limits>
+#include <memory>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "lattice/derives.h"
 
 namespace sdelta::lattice {
+
+namespace {
+
+/// Applies `recipe` to the summary table segment by segment, reading
+/// each columnar segment in place instead of a concatenated copy. The
+/// per-segment results are partial groups of the query; they merge by
+/// deriving the query from a view of its own shape (§5.1 — COUNT and SUM
+/// add up, MIN and MAX fold), which preserves first-appearance group
+/// order.
+rel::Table DeriveFromSegments(const rel::Catalog& catalog,
+                              const core::AugmentedView& query,
+                              const core::DerivationRecipe& recipe,
+                              const core::SummaryTable& source) {
+  const std::vector<std::shared_ptr<const rel::Table>> segments =
+      source.ColumnarSegments();
+  if (segments.size() <= 1) {
+    return core::ApplyDerivation(
+        catalog, recipe, segments.empty() ? source.ToTable() : *segments[0]);
+  }
+  rel::Table partials = core::ApplyDerivation(catalog, recipe, *segments[0]);
+  for (size_t s = 1; s < segments.size(); ++s) {
+    partials.AppendColumnsFrom(
+        core::ApplyDerivation(catalog, recipe, *segments[s]));
+  }
+  core::AugmentedView shape = query;
+  shape.physical.name += "#partials";
+  const std::optional<core::DerivationRecipe> merge =
+      ComputeDerivation(catalog, query, shape);
+  if (!merge.has_value()) {
+    throw std::logic_error("answer: query '" + query.physical.name +
+                           "' does not derive from its own partial groups");
+  }
+  return core::ApplyDerivation(catalog, *merge, partials);
+}
+
+}  // namespace
 
 AnswerResult AnswerQuery(const rel::Catalog& catalog, const VLattice& lattice,
                          const std::vector<const core::SummaryTable*>&
@@ -61,9 +100,9 @@ AnswerResult AnswerQuery(const rel::Catalog& catalog, const VLattice& lattice,
     metrics->Add("answer.view_hits");
     metrics->Add("answer.rows_read", result.rows_read);
   }
-  rel::Table physical =
-      core::ApplyDerivation(catalog, best_recipe, best->ToTable());
-  rel::Table logical = core::LogicalRows(augmented, physical);
+  rel::Table logical =
+      core::LogicalRows(augmented, DeriveFromSegments(catalog, augmented,
+                                                      best_recipe, *best));
   // Stamp the query's own name on the output.
   logical.SetName(query.name);
   result.rows = std::move(logical);

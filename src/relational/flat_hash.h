@@ -52,6 +52,9 @@ struct IdentityHash {
 ///   - Find/FindOrInsert/InsertMulti update a mutable ProbeStats; the
 ///     const ForEachEqual does NOT (it is the one entry point probed
 ///     concurrently — parallel HashJoin morsels share the build table).
+///     Find/FindOrInsert also take a caller-owned ProbeStats, for a map
+///     shared read-only between owners that each keep their own tally
+///     (a summary table's index shared with published epochs).
 ///   - K and V must be cheaply default-constructible and movable; empty
 ///     slots hold default-constructed pairs (PackedKey, size_t — both
 ///     trivial in practice).
@@ -81,13 +84,18 @@ class FlatHashMap {
   /// and whether an insert happened. With duplicate keys in the table
   /// (via InsertMulti) this finds the first in probe order.
   std::pair<V*, bool> FindOrInsert(const K& key, V value) {
+    return FindOrInsert(key, std::move(value), probes_);
+  }
+
+  std::pair<V*, bool> FindOrInsert(const K& key, V value,
+                                   ProbeStats& stats) {
     ReserveForOne();
     const size_t h = hash_(key);
     const uint8_t tag = Tag(h);
     size_t i = h & mask_;
-    ++probes_.ops;
+    ++stats.ops;
     while (true) {
-      ++probes_.steps;
+      ++stats.steps;
       if (ctrl_[i] == kEmpty) {
         ctrl_[i] = tag;
         slots_[i].key = key;
@@ -124,14 +132,16 @@ class FlatHashMap {
 
   /// Points at the mapped value, or nullptr. With duplicates, the first
   /// in probe order.
-  const V* Find(const K& key) const {
+  const V* Find(const K& key) const { return Find(key, probes_); }
+
+  const V* Find(const K& key, ProbeStats& stats) const {
     if (size_ == 0) return nullptr;
     const size_t h = hash_(key);
     const uint8_t tag = Tag(h);
     size_t i = h & mask_;
-    ++probes_.ops;
+    ++stats.ops;
     while (true) {
-      ++probes_.steps;
+      ++stats.steps;
       if (ctrl_[i] == kEmpty) return nullptr;
       if (ctrl_[i] == tag && slots_[i].key == key) return &slots_[i].value;
       i = (i + 1) & mask_;
@@ -140,6 +150,11 @@ class FlatHashMap {
 
   V* Find(const K& key) {
     return const_cast<V*>(static_cast<const FlatHashMap*>(this)->Find(key));
+  }
+
+  V* Find(const K& key, ProbeStats& stats) {
+    return const_cast<V*>(
+        static_cast<const FlatHashMap*>(this)->Find(key, stats));
   }
 
   /// Calls fn(value) for every entry whose key equals `key`, in probe

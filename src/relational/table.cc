@@ -56,7 +56,7 @@ std::vector<Row> Table::MaterializeRows() const {
   return rows;
 }
 
-void Table::Insert(Row row) {
+void Table::Insert(const Row& row) {
   if (row.size() != schema_.NumColumns()) {
     throw std::invalid_argument(
         "row arity " + std::to_string(row.size()) + " does not match schema " +

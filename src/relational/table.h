@@ -70,7 +70,7 @@ class Table {
 
   /// Appends a row. The row must have schema().NumColumns() values; this
   /// is checked (cheaply) and violations throw std::invalid_argument.
-  void Insert(Row row);
+  void Insert(const Row& row);
 
   /// Appends all of src's rows column-wise (bulk vector copies when the
   /// storage modes line up). Arity must match; column *types* need not —

@@ -149,7 +149,7 @@ ReadReplica::ReadReplica(std::string data_dir, warehouse::Warehouse wh,
   metrics_->Add("replica.gap_rejects", 0);
   metrics_->Add("replica.duplicates_skipped", 0);
   metrics_->Add("replica.records_applied", 0);
-  versioned_.Install(BuildEpoch(applied_epoch, nullptr, true));
+  versioned_.Install(BuildEpoch(applied_epoch, /*dims_changed=*/true));
   EmitGauges();
   if (options_.http_port >= 0) {
     StartHttp(static_cast<uint16_t>(options_.http_port));
@@ -172,8 +172,7 @@ std::vector<std::string> ReadReplica::FactTableNames() const {
 }
 
 std::shared_ptr<const service::Epoch> ReadReplica::BuildEpoch(
-    uint64_t number, const std::vector<size_t>* view_delta_rows,
-    bool dims_changed) {
+    uint64_t number, bool dims_changed) {
   const std::shared_ptr<const service::Epoch> prev = versioned_.Current();
   const lattice::VLattice& wl = warehouse_.vlattice();
   auto next = std::make_shared<service::Epoch>();
@@ -188,19 +187,10 @@ std::shared_ptr<const service::Epoch> ReadReplica::BuildEpoch(
     next->catalog =
         service::MakeReaderCatalog(warehouse_.catalog(), FactTableNames());
   }
-  const bool can_share = prev && view_delta_rows &&
-                         view_delta_rows->size() == wl.views.size() &&
-                         prev->views.size() == wl.views.size();
   next->views.reserve(wl.views.size());
-  for (size_t i = 0; i < wl.views.size(); ++i) {
-    if (can_share && (*view_delta_rows)[i] == 0) {
-      next->views.push_back(prev->views[i]);
-      continue;
-    }
-    auto copy = std::make_shared<core::SummaryTable>(wl.views[i],
-                                                     *next->catalog);
-    copy->LoadFrom(warehouse_.summary(wl.views[i].physical.name).ToTable());
-    next->views.push_back(std::move(copy));
+  for (const core::AugmentedView& view : wl.views) {
+    next->views.push_back(
+        warehouse_.summary_mutable(view.physical.name).Share());
   }
   return next;
 }
@@ -243,12 +233,8 @@ ReadReplica::CatchupReport ReadReplica::Catchup() {
     core::ChangeSet changes =
         service::DecodeChangeSet(warehouse_.catalog(), rec.payload);
     const bool dims_changed = !changes.dimensions.empty();
-    const warehouse::BatchReport batch = warehouse_.RunBatch(changes);
-    std::vector<size_t> delta_rows(batch.views.size(), 0);
-    for (size_t v = 0; v < batch.views.size(); ++v) {
-      delta_rows[v] = batch.views[v].delta_rows;
-    }
-    versioned_.Install(BuildEpoch(rec.epoch, &delta_rows, dims_changed));
+    warehouse_.RunBatch(changes);
+    versioned_.Install(BuildEpoch(rec.epoch, dims_changed));
     applied_epoch_.store(rec.epoch);
     applied_seq_.store(rec.last_seq);
     cursor_.store(fetch.next_cursor);

@@ -115,11 +115,10 @@ class ReadReplica {
               ShipTransport* transport, uint64_t applied_epoch,
               uint64_t applied_seq, uint64_t start_cursor);
 
-  /// Builds the epoch installed after applying one ship record. Views
-  /// untouched by the batch share the previous epoch's tables.
-  std::shared_ptr<const service::Epoch> BuildEpoch(
-      uint64_t number, const std::vector<size_t>* view_delta_rows,
-      bool dims_changed);
+  /// Builds the epoch installed after applying one ship record: each
+  /// view is a copy-on-write Share() of this replica's table.
+  std::shared_ptr<const service::Epoch> BuildEpoch(uint64_t number,
+                                                   bool dims_changed);
   void StartHttp(uint16_t port);
   void EmitGauges();
   std::vector<std::string> FactTableNames() const;

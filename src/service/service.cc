@@ -242,7 +242,8 @@ WarehouseService::WarehouseService(
     }
     epoch_base_ = options_.ship->MaxEpoch();
   }
-  versioned_.Install(BuildEpoch(nullptr, true, true));
+  versioned_.Install(
+      BuildEpoch(/*dims_changed=*/true, /*full_rebuild=*/true));
   // Set before the thread spawns so a /healthz scrape racing startup
   // never reports a dead maintenance thread; MaintenanceLoop clears it
   // on exit.
@@ -272,12 +273,13 @@ std::vector<std::string> WarehouseService::FactTableNames() const {
 }
 
 std::shared_ptr<const Epoch> WarehouseService::BuildEpoch(
-    const std::vector<size_t>* view_delta_rows, bool dims_changed,
-    bool full_rebuild) {
+    bool dims_changed, bool full_rebuild) {
+  obs::TraceSpan span(options_.tracer, "service.epoch_build");
   const std::shared_ptr<const Epoch> prev = versioned_.Current();
   const lattice::VLattice& wl = warehouse_.vlattice();
   auto next = std::make_shared<Epoch>();
   next->number = prev ? prev->number + 1 : epoch_base_ + 1;
+  span.Attr("epoch", next->number);
   next->metrics = metrics_;
   next->obs = &obs_;
   if (!full_rebuild && prev) {
@@ -290,22 +292,21 @@ std::shared_ptr<const Epoch> WarehouseService::BuildEpoch(
   } else {
     next->catalog = MakeReaderCatalog(warehouse_.catalog(), FactTableNames());
   }
-  const bool can_share = !full_rebuild && prev && view_delta_rows &&
-                         view_delta_rows->size() == wl.views.size() &&
-                         prev->views.size() == wl.views.size();
+  // A view whose refresh copied no page since the previous epoch shares
+  // every page with it; one that copied some is "rebuilt" only in those.
+  uint64_t rows_copied = 0;
   next->views.reserve(wl.views.size());
-  for (size_t i = 0; i < wl.views.size(); ++i) {
-    if (can_share && (*view_delta_rows)[i] == 0) {
-      next->views.push_back(prev->views[i]);
-      metrics_->Add("service.epoch_views_shared");
-      continue;
-    }
-    auto copy =
-        std::make_shared<core::SummaryTable>(wl.views[i], *next->catalog);
-    copy->LoadFrom(warehouse_.summary(wl.views[i].physical.name).ToTable());
-    next->views.push_back(std::move(copy));
-    metrics_->Add("service.epoch_views_rebuilt");
+  for (const core::AugmentedView& view : wl.views) {
+    core::SummaryTable& summary =
+        warehouse_.summary_mutable(view.physical.name);
+    const uint64_t copied = summary.rows_copied();
+    rows_copied += copied;
+    metrics_->Add(copied > 0 ? "service.epoch_views_rebuilt"
+                             : "service.epoch_views_shared");
+    next->views.push_back(summary.Share());
   }
+  metrics_->Add("service.epoch_rows_copied", rows_copied);
+  span.Attr("rows_copied", rows_copied);
   metrics_->Set("service.epoch", static_cast<double>(next->number));
   metrics_->Set("writer.installed_epoch", static_cast<double>(next->number));
   return next;
@@ -373,8 +374,6 @@ void WarehouseService::Flush() {
 void WarehouseService::ApplyItems(std::vector<IngestItem> items) {
   const uint64_t first_seq = items.front().seq;
   const uint64_t max_seq = items.back().seq;
-  const size_t n_views = warehouse_.vlattice().views.size();
-  std::vector<size_t> delta_rows(n_views, 0);
   bool dims_changed = false;
   size_t runs = 0;
   warehouse::BatchReport report;
@@ -443,9 +442,6 @@ void WarehouseService::ApplyItems(std::vector<IngestItem> items) {
     }
     metrics_->Add("service.batches");
     ++runs;
-    for (size_t v = 0; v < report.views.size() && v < n_views; ++v) {
-      delta_rows[v] += report.views[v].delta_rows;
-    }
     i = j;
   }
 
@@ -454,7 +450,7 @@ void WarehouseService::ApplyItems(std::vector<IngestItem> items) {
   slo_.ObserveStaleness(staleness);
 
   std::shared_ptr<const Epoch> next =
-      BuildEpoch(&delta_rows, dims_changed, /*full_rebuild=*/false);
+      BuildEpoch(dims_changed, /*full_rebuild=*/false);
   const uint64_t epoch_number = next->number;
   double window = 0;
   {
@@ -616,7 +612,8 @@ void WarehouseService::WithWriter(
   fn(warehouse_);
   // DDL may have changed the lattice, plans, and summary schemas:
   // readers get a fully fresh epoch.
-  versioned_.Install(BuildEpoch(nullptr, true, /*full_rebuild=*/true));
+  versioned_.Install(
+      BuildEpoch(/*dims_changed=*/true, /*full_rebuild=*/true));
 }
 
 WarehouseService::Stats WarehouseService::GetStats() const {

@@ -235,15 +235,13 @@ class WarehouseService {
                    uint64_t start_seq,
                    std::vector<replica::ShipRecord> replay_ships);
 
-  /// Builds the next epoch from the warehouse's current summaries.
-  /// `view_delta_rows` (nullable, parallel to vlattice().views) enables
-  /// per-view sharing: views whose batch delta_rows == 0 reuse the
-  /// previous epoch's table; the reader catalog is recopied only when
-  /// `dims_changed`. `full_rebuild` forces everything fresh (DDL,
-  /// initial epoch).
-  std::shared_ptr<const Epoch> BuildEpoch(
-      const std::vector<size_t>* view_delta_rows, bool dims_changed,
-      bool full_rebuild);
+  /// Builds the next epoch from the warehouse's current summaries: each
+  /// view is a copy-on-write Share() of the writer's table, so only the
+  /// pages refresh dirtied since the previous epoch were ever copied.
+  /// The reader catalog is recopied only when `dims_changed`;
+  /// `full_rebuild` also rebuilds the lattice (DDL, initial epoch).
+  std::shared_ptr<const Epoch> BuildEpoch(bool dims_changed,
+                                          bool full_rebuild);
 
   void MaintenanceLoop();
   /// Applies one drained run of items (one RunBatch per fact-table run)

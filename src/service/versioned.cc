@@ -93,13 +93,19 @@ std::shared_ptr<const Epoch> VersionedTables::Current() const {
 double VersionedTables::Install(std::shared_ptr<const Epoch> next) {
   // The reader-visible batch window: everything before this point built
   // `next` off to the side; everything readers can observe flips in one
-  // pointer assignment under the pin mutex.
+  // pointer swap under the pin mutex.
   core::Stopwatch sw;
+  std::shared_ptr<const Epoch> displaced = std::move(next);
   {
     std::scoped_lock lock(mu_);
-    current_ = std::move(next);
+    current_.swap(displaced);
   }
-  return sw.ElapsedSeconds();
+  const double window = sw.ElapsedSeconds();
+  // When no reader pins the displaced epoch, dropping it frees the pages
+  // refresh replaced since; that teardown runs here, after the unlock,
+  // so it neither blocks Pin() nor counts toward the window.
+  displaced.reset();
+  return window;
 }
 
 std::shared_ptr<const rel::Catalog> MakeReaderCatalog(

@@ -40,9 +40,9 @@ struct ServiceObs {
 /// tables are present schema-only, so snapshot queries that would fall
 /// back to base data are rejected instead of silently answered empty).
 ///
-/// Views are held per-view behind shared_ptr so an epoch whose batch
-/// left a view untouched (delta_rows == 0) shares the previous epoch's
-/// table instead of copying it.
+/// Each view is a copy-on-write SummaryTable::Share() of the writer's
+/// table, so consecutive epochs hold the same row pages except the ones
+/// refresh wrote in between (DESIGN.md §9.1).
 struct Epoch {
   uint64_t number = 0;
   std::shared_ptr<const lattice::VLattice> lattice;
@@ -96,7 +96,8 @@ class VersionedTables {
   std::shared_ptr<const Epoch> Current() const;
 
   /// Installs `next` as the current epoch and returns the seconds the
-  /// swap itself took (the measured service.refresh_window).
+  /// swap itself took (the measured service.refresh_window). The
+  /// displaced epoch is released after the pin mutex is dropped.
   double Install(std::shared_ptr<const Epoch> next);
 
  private:

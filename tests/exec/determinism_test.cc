@@ -242,29 +242,29 @@ TEST(DeterminismTest, ServiceCountersInvariantAcrossThreadCounts) {
 // every thread count — and the mqo.* counters themselves are a pure
 // function of the plan and change set, identical at 1, 2, and 8
 // threads.
-TEST(DeterminismTest, MqoOnAndOffByteIdenticalAcrossThreadCounts) {
-  auto sharing_views = [] {
-    auto view = [](const std::string& name,
-                   std::vector<core::DimensionJoin> joins,
-                   std::vector<std::string> group_by) {
-      core::ViewDef v;
-      v.name = name;
-      v.fact_table = "pos";
-      v.joins = std::move(joins);
-      v.group_by = std::move(group_by);
-      v.aggregates = {rel::CountStar("TotalCount"),
-                      rel::Sum(rel::Expression::Column("qty"),
-                               "TotalQuantity")};
-      return v;
-    };
-    const core::DimensionJoin stores{"stores", "storeID", "storeID"};
-    return std::vector<core::ViewDef>{
-        view("SID_sales", {}, {"storeID", "itemID", "date"}),
-        view("vCityItem", {stores}, {"city", "itemID"}),
-        view("vRegionDate", {stores}, {"region", "date"}),
-        view("vCityDate", {stores}, {"city", "date"})};
+/// A view family with real join-subplan sharing for MQO to rewrite.
+std::vector<core::ViewDef> SharingViews() {
+  auto view = [](const std::string& name,
+                 std::vector<core::DimensionJoin> joins,
+                 std::vector<std::string> group_by) {
+    core::ViewDef v;
+    v.name = name;
+    v.fact_table = "pos";
+    v.joins = std::move(joins);
+    v.group_by = std::move(group_by);
+    v.aggregates = {rel::CountStar("TotalCount"),
+                    rel::Sum(rel::Expression::Column("qty"),
+                             "TotalQuantity")};
+    return v;
   };
+  const core::DimensionJoin stores{"stores", "storeID", "storeID"};
+  return {view("SID_sales", {}, {"storeID", "itemID", "date"}),
+          view("vCityItem", {stores}, {"city", "itemID"}),
+          view("vRegionDate", {stores}, {"region", "date"}),
+          view("vCityDate", {stores}, {"city", "date"})};
+}
 
+TEST(DeterminismTest, MqoOnAndOffByteIdenticalAcrossThreadCounts) {
   struct MqoInstance {
     obs::MetricsRegistry metrics;
     Warehouse wh;
@@ -296,7 +296,7 @@ TEST(DeterminismTest, MqoOnAndOffByteIdenticalAcrossThreadCounts) {
     }
   };
 
-  const std::vector<core::ViewDef> views = sharing_views();
+  const std::vector<core::ViewDef> views = SharingViews();
   MqoInstance on1(1, true, views);
   MqoInstance on2(2, true, views);
   MqoInstance on8(8, true, views);
@@ -326,6 +326,59 @@ TEST(DeterminismTest, MqoOnAndOffByteIdenticalAcrossThreadCounts) {
   // mqo off: the series are absent entirely (no spurious zero counters
   // from a disabled subsystem).
   EXPECT_TRUE(off1.MqoCounters().empty());
+}
+
+// Epoch publication shares pages copy-on-write, so the rows it copies
+// depend only on which summary rows refresh wrote — the same at every
+// thread count, with MQO rewriting the maintenance plans or not.
+TEST(DeterminismTest, EpochRowsCopiedInvariantAcrossThreadsAndMqo) {
+  namespace fs = std::filesystem;
+  struct Run {
+    size_t threads;
+    bool mqo;
+    std::map<std::string, uint64_t> counters;
+  };
+  std::vector<Run> runs;
+  for (bool mqo : {true, false}) {
+    for (size_t threads : {1u, 2u, 8u}) {
+      const fs::path dir =
+          fs::temp_directory_path() /
+          ("sdelta_det_cow_" + std::to_string(::getpid()) + "_t" +
+           std::to_string(threads) + (mqo ? "_mqo" : ""));
+      fs::remove_all(dir);
+      service::WarehouseService::Options options;
+      options.auto_batching = false;
+      options.warehouse.num_threads = threads;
+      options.warehouse.lattice_friendly = false;
+      options.warehouse.propagate.mqo_enabled = mqo;
+      rel::Catalog mirror = MakeRetailCatalog(SmallConfig());
+      auto svc = service::WarehouseService::Open(
+          dir.string(), MakeRetailCatalog(SmallConfig()), SharingViews(),
+          options);
+      for (uint64_t seed : {41u, 42u, 43u}) {
+        core::ChangeSet changes =
+            seed == 42u ? MakeInsertionGeneratingChanges(mirror, 300, seed)
+                        : MakeUpdateGeneratingChanges(mirror, 400, seed);
+        core::ApplyChangeSet(mirror, changes);
+        svc->Append(std::move(changes));
+        svc->Flush();
+      }
+      std::map<std::string, uint64_t> counters;
+      for (const char* name :
+           {"service.epoch_rows_copied", "service.epoch_views_rebuilt",
+            "service.epoch_views_shared"}) {
+        counters[name] = svc->metrics().counter(name);
+      }
+      svc.reset();
+      fs::remove_all(dir);
+      runs.push_back({threads, mqo, std::move(counters)});
+    }
+  }
+  EXPECT_GT(runs.front().counters.at("service.epoch_rows_copied"), 0u);
+  for (const Run& run : runs) {
+    EXPECT_EQ(run.counters, runs.front().counters)
+        << run.threads << " threads, mqo " << (run.mqo ? "on" : "off");
+  }
 }
 
 TEST(DeterminismTest, PropagateOnlyStatsMatchAcrossThreadCounts) {

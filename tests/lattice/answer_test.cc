@@ -147,5 +147,49 @@ TEST(AnswerTest, MismatchedSummariesThrow) {
       std::invalid_argument);
 }
 
+// A summary table larger than one scan segment is answered segment by
+// segment and the partial groups merged; every aggregate kind must come
+// out as base evaluation does, before and after a batch.
+TEST(AnswerTest, QueriesSpanningSegmentsMatchBase) {
+  warehouse::RetailConfig config;
+  config.num_pos_rows = 40000;
+  config.seed = 5;
+  warehouse::Warehouse wh(warehouse::MakeRetailCatalog(config));
+  ViewDef view;
+  view.name = "SIDm_sales";
+  view.fact_table = "pos";
+  view.group_by = {"storeID", "itemID", "date"};
+  view.aggregates = {rel::CountStar("n"),
+                     rel::Sum(Expression::Column("qty"), "total"),
+                     rel::Min(Expression::Column("qty"), "lo"),
+                     rel::Max(Expression::Column("qty"), "hi")};
+  wh.DefineSummaryTables({view});
+  ASSERT_GT(wh.summary("SIDm_sales").ColumnarSegments().size(), 1u);
+
+  std::vector<ViewDef> queries;
+  for (const char* sql :
+       {"SELECT itemID, SUM(qty) AS q, MIN(qty) AS lo, MAX(qty) AS hi, "
+        "COUNT(*) AS n FROM pos GROUP BY itemID",
+        "SELECT region, SUM(qty) AS q, AVG(qty) AS a FROM pos, stores "
+        "WHERE pos.storeID = stores.storeID GROUP BY region"}) {
+    queries.push_back(core::ParseQuery(wh.catalog(), sql));
+  }
+  ViewDef scalar;  // no GROUP BY: one group per segment, then one overall
+  scalar.name = "q";
+  scalar.fact_table = "pos";
+  scalar.aggregates = {rel::CountStar("n"),
+                       rel::Max(Expression::Column("qty"), "hi")};
+  queries.push_back(scalar);
+  for (int round = 0; round < 2; ++round) {
+    for (const ViewDef& q : queries) {
+      SCOPED_TRACE(q.name + " round " + std::to_string(round));
+      AnswerResult r = wh.Query(q);
+      EXPECT_EQ(r.source_view, "SIDm_sales");
+      ExpectBagEq(core::EvaluateView(wh.catalog(), q), r.rows);
+    }
+    wh.RunBatch(warehouse::MakeUpdateGeneratingChanges(wh.catalog(), 2000, 9));
+  }
+}
+
 }  // namespace
 }  // namespace sdelta::lattice

@@ -11,11 +11,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/delta.h"
+#include "core/self_maintenance.h"
+#include "core/summary_table.h"
 #include "service/service.h"
 #include "warehouse/retail_schema.h"
 #include "warehouse/workload.h"
@@ -116,6 +122,53 @@ TEST(ConcurrentReadersTest, SnapshotsAreAlwaysEpochConsistent) {
   svc->Stop();
   svc.reset();
   fs::remove_all(dir);
+}
+
+// Installing a new epoch drops the previous one; when no reader pins it,
+// that teardown frees every page only it held. It must run after the
+// pin mutex is released, so a concurrent Pin() is never stuck behind it.
+// The old epoch's view here has a deleter that waits (up to 2 s) for a
+// Pin() issued from inside the teardown to return.
+TEST(ConcurrentReadersTest, InstallReleasesOldEpochOutsidePinLock) {
+  const rel::Catalog catalog = warehouse::MakeRetailCatalog(SmallConfig());
+  const core::AugmentedView view = core::AugmentForSelfMaintenance(
+      catalog, warehouse::RetailSummaryTables()[0]);
+  VersionedTables versioned;
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool pinned = false;
+  bool pinned_during_teardown = false;
+  std::thread pinner;
+  auto deleter = [&](const core::SummaryTable* table) {
+    pinner = std::thread([&] {
+      versioned.Pin();
+      std::scoped_lock lock(mu);
+      pinned = true;
+      cv.notify_all();
+    });
+    {
+      std::unique_lock lock(mu);
+      pinned_during_teardown =
+          cv.wait_for(lock, std::chrono::seconds(2), [&] { return pinned; });
+    }
+    delete table;
+  };
+
+  auto old_epoch = std::make_shared<Epoch>();
+  old_epoch->number = 1;
+  old_epoch->views.push_back(std::shared_ptr<const core::SummaryTable>(
+      new core::SummaryTable(view, catalog), deleter));
+  versioned.Install(std::move(old_epoch));
+
+  auto next = std::make_shared<Epoch>();
+  next->number = 2;
+  versioned.Install(std::move(next));  // drops the last reference to epoch 1
+  ASSERT_TRUE(pinner.joinable());
+  pinner.join();
+  EXPECT_TRUE(pinned_during_teardown)
+      << "Pin() blocked while the displaced epoch was being freed";
+  EXPECT_EQ(versioned.Current()->number, 2u);
 }
 
 }  // namespace

@@ -161,7 +161,7 @@ TEST(ClickstreamTest, MaxTimestampRecomputesOnDeletion) {
   st.MaterializeFrom(c);
 
   // Find any group and its max-ts row.
-  const rel::Row first = st.rows()[0];
+  const rel::Row first = st.RowAt(0);
   const int64_t user = first[0].as_int64();
   const int64_t page = first[1].as_int64();
   const int64_t last_seen = first[st.schema().Resolve("last_seen")]
