@@ -23,13 +23,6 @@
 //       p99 vs the plain maintenance run), gated at baseline 1.0 with
 //       5% tolerance: the committed proof the diagnostics stay off the
 //       read path.
-//   readers_on_replica        - the writer runs the same maintenance
-//       trajectory while shipping epochs; the reader threads query N
-//       caught-up read replicas (keyed by {case, replicas} for N = 1
-//       and 2) instead of the writer. Aggregate reader QPS across the
-//       fleet is the scale-out payoff; appended counts stay exact and
-//       every replica must converge to the writer's final epoch or the
-//       bench aborts.
 //
 // Writes BENCH_service.json entries for the CI bench gate:
 // appended_changesets / appended_rows are exact (the trajectory is
@@ -55,8 +48,6 @@
 #include "core/maintenance.h"
 #include "obs/export_json.h"
 #include "obs/metrics.h"
-#include "replica/replica.h"
-#include "replica/transport.h"
 #include "service/service.h"
 #include "warehouse/workload.h"
 
@@ -258,119 +249,6 @@ RunResult RunWithMaintenance(const fs::path& dir, bool with_scraper = false,
   return r;
 }
 
-/// One replica reader: same query mix as ReaderLoop, against the
-/// replica's pinned snapshots.
-void ReplicaReaderLoop(const replica::ReadReplica& rep,
-                       const std::atomic<bool>* stop, uint64_t* queries_out,
-                       obs::Histogram* latency_out) {
-  uint64_t done = 0;
-  obs::Histogram latency;
-  while (!stop->load(std::memory_order_acquire)) {
-    core::Stopwatch sw;
-    const service::ReadSnapshot snap = rep.Snapshot();
-    const lattice::AnswerResult a =
-        snap.Query(done % 2 == 0 ? kRegionQuery : kCategoryQuery);
-    latency.Observe(sw.ElapsedSeconds());
-    if (a.rows.NumRows() == 0) {
-      std::fprintf(stderr, "bench_service: empty replica query result\n");
-      std::abort();
-    }
-    ++done;
-  }
-  *queries_out = done;
-  *latency_out = latency;
-}
-
-/// readers_on_replica: the writer appends the standard trajectory while
-/// shipping every installed epoch over a loopback transport; the reader
-/// threads are spread round-robin over `num_replicas` replicas, each
-/// with a dedicated catch-up thread tailing the stream. Ends with a
-/// convergence check: every replica's applied epoch must reach the
-/// writer's final epoch.
-RunResult RunOnReplicas(const fs::path& dir, size_t num_replicas) {
-  replica::LoopbackShipTransport ship;
-  service::WarehouseService::Options options;
-  options.auto_batching = true;
-  options.queue.max_batch_rows = 512;
-  options.queue.max_batch_delay_seconds = 0.005;
-  options.ship = &ship;
-  auto svc = service::WarehouseService::Open(
-      (dir / "writer").string(),
-      warehouse::MakeRetailCatalog(PaperConfig(kPosRows)),
-      warehouse::RetailSummaryTables(), options);
-
-  std::vector<std::unique_ptr<replica::ReadReplica>> replicas;
-  for (size_t i = 0; i < num_replicas; ++i) {
-    replicas.push_back(replica::ReadReplica::Open(
-        (dir / ("replica" + std::to_string(i))).string(),
-        warehouse::MakeRetailCatalog(PaperConfig(kPosRows)),
-        warehouse::RetailSummaryTables(), &ship));
-  }
-
-  RunResult r;
-  std::atomic<bool> stop{false};
-  std::vector<uint64_t> counts(kReaderThreads, 0);
-  std::vector<obs::Histogram> latencies(kReaderThreads);
-  std::vector<std::thread> readers;
-  std::vector<std::thread> catchups;
-
-  rel::Catalog mirror = warehouse::MakeRetailCatalog(PaperConfig(kPosRows));
-  core::Stopwatch sw;
-  for (size_t i = 0; i < num_replicas; ++i) {
-    catchups.emplace_back([&, i] {
-      while (!stop.load(std::memory_order_acquire)) {
-        replicas[i]->Catchup();
-      }
-    });
-  }
-  for (size_t i = 0; i < kReaderThreads; ++i) {
-    readers.emplace_back(ReplicaReaderLoop,
-                         std::cref(*replicas[i % num_replicas]), &stop,
-                         &counts[i], &latencies[i]);
-  }
-  for (size_t i = 0; i < kChangeSets; ++i) {
-    core::ChangeSet changes = warehouse::MakeInsertionGeneratingChanges(
-        mirror, kRowsPerChangeSet, /*seed=*/9000 + i);
-    core::ApplyChangeSet(mirror, changes);
-    r.appended_rows += changes.fact.insertions.NumRows();
-    svc->Append(std::move(changes));
-  }
-  svc->Flush();
-  stop.store(true, std::memory_order_release);
-  for (std::thread& t : readers) t.join();
-  for (std::thread& t : catchups) t.join();
-  r.seconds = sw.ElapsedSeconds();
-
-  for (uint64_t c : counts) r.queries += c;
-  for (const obs::Histogram& h : latencies) r.query_latency.MergeFrom(h);
-  r.appended_changesets = kChangeSets;
-  const service::WarehouseService::Stats stats = svc->GetStats();
-  r.batches = stats.batches;
-  r.epochs = stats.epoch;
-  if (stats.applied_seq != kChangeSets) {
-    std::fprintf(stderr, "bench_service: applied %llu of %zu change sets\n",
-                 static_cast<unsigned long long>(stats.applied_seq),
-                 kChangeSets);
-    std::abort();
-  }
-  svc->Stop();
-  // Convergence: one final catch-up pass must land every replica on the
-  // writer's last installed epoch.
-  for (size_t i = 0; i < num_replicas; ++i) {
-    replicas[i]->Catchup();
-    if (replicas[i]->applied_epoch() != stats.epoch) {
-      std::fprintf(stderr,
-                   "bench_service: replica %zu stuck at epoch %llu "
-                   "(writer %llu)\n",
-                   i,
-                   static_cast<unsigned long long>(replicas[i]->applied_epoch()),
-                   static_cast<unsigned long long>(stats.epoch));
-      std::abort();
-    }
-  }
-  return r;
-}
-
 void AddEntry(const std::string& kase, const RunResult& r,
               bool with_windows) {
   obs::Json e = obs::Json::Object();
@@ -468,26 +346,9 @@ int Run() {
   ServiceEntries().back().Set("p99_overhead_ratio",
                               obs::Json::Double(overhead_ratio));
 
-  // Scale-out: the same maintenance trajectory with readers moved off
-  // the writer onto 1 and then 2 epoch-shipping replicas.
-  for (size_t n : {1u, 2u}) {
-    const RunResult on_replica =
-        RunOnReplicas(root / ("replicas" + std::to_string(n)), n);
-    std::printf(
-        "  readers_on_replica (%zu):  %8.0f qps, p99 %.3f ms "
-        "(%llu queries in %.3fs)\n",
-        n, static_cast<double>(on_replica.queries) / on_replica.seconds,
-        on_replica.query_latency.P99() * 1e3,
-        static_cast<unsigned long long>(on_replica.queries),
-        on_replica.seconds);
-    AddEntry("readers_on_replica", on_replica, /*with_windows=*/false);
-    ServiceEntries().back().Set("replicas",
-                                obs::Json::Int(static_cast<int64_t>(n)));
-  }
-
   fs::remove_all(root);
   obs::MergeBenchJson("BENCH_service.json", "service",
-                      {"case", "readers", "replicas"}, ServiceEntries());
+                      {"case", "readers"}, ServiceEntries());
   std::printf("wrote BENCH_service.json\n");
   return 0;
 }

@@ -5,7 +5,6 @@
 // Reads commands from stdin.
 //
 //   ./build/examples/warehouse_shell [pos_rows] [data_dir] [http_port]
-//                                    [num_replicas]
 //
 // `data_dir` holds the WAL and checkpoints (default: a per-process temp
 // directory, wiped on exit). Start from a fresh directory when changing
@@ -13,12 +12,10 @@
 // `http_port` starts the embedded scrape endpoint on 127.0.0.1 (0 =
 // pick an ephemeral port; the bound port is printed at startup). Routes:
 // /metrics /healthz /varz /epochs /events /timeseries /profile /anomalies.
-// `http_port` -1 leaves the endpoint off. `num_replicas` > 0
-// starts that many epoch-shipping read replicas at boot (DESIGN.md
-// §15; more can be added with `replicas start <n>`). The writer always
-// publishes installed epochs to <data_dir>/ship.log, so replicas can
-// attach at any time. A malformed numeric argument prints the usage
-// line and exits with status 2.
+// `http_port` -1 leaves the endpoint off. The writer publishes every
+// installed epoch to the durable ship log <data_dir>/ship.log (DESIGN.md
+// §15) for out-of-process consumers. A malformed numeric argument or an
+// extra argument prints the usage line and exits with status 2.
 //
 // Commands:
 //   CREATE VIEW ...   define + materialize a summary table (SQL dialect)
@@ -49,15 +46,6 @@
 //                     cumulative self-time profile of the maintenance
 //                     path; `collapsed` prints flamegraph.pl input
 //   anomalies         detector state + flight-recorder bundles on disk
-//   replicas          read-replica status: applied epoch/seq, cursor,
-//                     and epoch lag behind the writer
-//   replicas start <n>
-//                     checkpoint the writer and attach n more replicas
-//                     bootstrapped from that checkpoint
-//   replicas catchup  pull + apply the ship stream on every replica,
-//                     printing the measured catch-up lag
-//   replicas query <i> SELECT ...
-//                     answer a query from replica i's pinned snapshot
 //   metrics           Prometheus text exposition of all pipeline metrics
 //   dicts             per-column string dictionaries and per-view packed
 //                     key stats (see DESIGN.md §8)
@@ -74,10 +62,8 @@
 #include <string>
 
 #include "obs/export_prometheus.h"
-#include "replica/replica.h"
-#include "replica/ship.h"
-#include "replica/transport.h"
 #include "service/service.h"
+#include "service/ship.h"
 #include "warehouse/persistence.h"
 #include "warehouse/retail_schema.h"
 #include "warehouse/warehouse.h"
@@ -95,7 +81,6 @@ void PrintHelp() {
       "          explain [analyze] <kind> <n> [dot|json] |\n"
       "          service <stats|flush|checkpoint|slo|events> | metrics |\n"
       "          history [metric] | profile [collapsed] | anomalies |\n"
-      "          replicas [start <n> | catchup | query <i> SELECT ...] |\n"
       "          mqo | dicts | save <dir> | help | quit\n");
 }
 
@@ -263,8 +248,7 @@ void PrintAnomalies(service::WarehouseService& svc) {
 }
 
 constexpr const char* kUsage =
-    "usage: warehouse_shell [pos_rows] [data_dir] [http_port] "
-    "[num_replicas]\n";
+    "usage: warehouse_shell [pos_rows] [data_dir] [http_port]\n";
 
 /// Parses the whole of `arg` as a T within [lo, hi]; anything else
 /// (empty, trailing characters, out of range) prints the usage line and
@@ -280,82 +264,6 @@ T ParseArg(const char* name, const char* arg, T lo, T hi) {
     std::exit(2);
   }
   return value;
-}
-
-/// The shell's replica fleet: every replica tails the writer's durable
-/// <data_dir>/ship.log through one shared (stateless) file transport.
-struct ReplicaFleet {
-  std::string ship_path;
-  std::unique_ptr<replica::FileShipTransport> transport;
-  std::vector<std::unique_ptr<replica::ReadReplica>> replicas;
-};
-
-void StartReplicas(service::WarehouseService& svc, ReplicaFleet& fleet,
-                   const warehouse::RetailConfig& config, size_t n) {
-  // Bootstrap from a fresh writer checkpoint so new replicas pick up
-  // the current views (DDL is not shipped) and dedup shipped history
-  // by sequence. The checkpoint stores summary rows but not the view
-  // definitions, so those ride along explicitly.
-  std::vector<core::ViewDef> views;
-  svc.WithWriter([&](warehouse::Warehouse& wh) { views = wh.defined_views(); });
-  svc.Checkpoint();
-  if (fleet.transport == nullptr) {
-    fleet.transport =
-        std::make_unique<replica::FileShipTransport>(fleet.ship_path);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const size_t idx = fleet.replicas.size();
-    replica::ReadReplica::Options ropts;
-    ropts.bootstrap_checkpoint = svc.data_dir() + "/checkpoint";
-    fleet.replicas.push_back(replica::ReadReplica::Open(
-        svc.data_dir() + "/replica" + std::to_string(idx),
-        warehouse::MakeRetailCatalog(config), views,
-        fleet.transport.get(), std::move(ropts)));
-    fleet.replicas.back()->Catchup();
-    std::printf("replica %zu attached at epoch %llu\n", idx,
-                static_cast<unsigned long long>(
-                    fleet.replicas.back()->applied_epoch()));
-  }
-}
-
-void PrintReplicas(service::WarehouseService& svc, ReplicaFleet& fleet) {
-  if (fleet.replicas.empty()) {
-    std::printf("no replicas; try 'replicas start <n>'\n");
-    return;
-  }
-  const uint64_t writer_epoch = svc.GetStats().epoch;
-  std::printf("writer epoch %llu\n",
-              static_cast<unsigned long long>(writer_epoch));
-  for (size_t i = 0; i < fleet.replicas.size(); ++i) {
-    const replica::ReadReplica& r = *fleet.replicas[i];
-    const uint64_t applied = r.applied_epoch();
-    std::printf(
-        "  replica %-3zu epoch %-6llu (lag %llu) seq %-6llu cursor %llu\n",
-        i, static_cast<unsigned long long>(applied),
-        static_cast<unsigned long long>(
-            writer_epoch > applied ? writer_epoch - applied : 0),
-        static_cast<unsigned long long>(r.applied_seq()),
-        static_cast<unsigned long long>(r.cursor()));
-  }
-}
-
-void CatchupReplicas(ReplicaFleet& fleet) {
-  if (fleet.replicas.empty()) {
-    std::printf("no replicas; try 'replicas start <n>'\n");
-    return;
-  }
-  for (size_t i = 0; i < fleet.replicas.size(); ++i) {
-    const replica::ReadReplica::CatchupReport rep =
-        fleet.replicas[i]->Catchup();
-    std::printf(
-        "  replica %-3zu applied %llu records in %.3f ms (dup %llu, "
-        "crc %llu, gap %llu) -> epoch %llu\n",
-        i, static_cast<unsigned long long>(rep.applied), 1e3 * rep.seconds,
-        static_cast<unsigned long long>(rep.duplicates),
-        static_cast<unsigned long long>(rep.crc_rejects),
-        static_cast<unsigned long long>(rep.gap_rejects),
-        static_cast<unsigned long long>(fleet.replicas[i]->applied_epoch()));
-  }
 }
 
 void PrintExplain(const lattice::ExplainResult& explain,
@@ -397,6 +305,10 @@ void RunExplainCommand(service::WarehouseService& svc, std::istringstream& in,
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 4) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
   warehouse::RetailConfig config;
   constexpr size_t kMaxSize = std::numeric_limits<size_t>::max();
   config.num_pos_rows =
@@ -419,15 +331,11 @@ int main(int argc, char** argv) {
   if (argc > 3) {
     options.http_port = ParseArg<int>("http_port", argv[3], -1, 65535);
   }
-  const size_t boot_replicas =
-      argc > 4 ? ParseArg<size_t>("num_replicas", argv[4], 0, kMaxSize) : 0;
 
-  // The writer always publishes installed epochs durably, so replicas
-  // can attach later (or across restarts) without missing history.
+  // The writer always publishes installed epochs durably, so a consumer
+  // can tail the log later (or across restarts) without missing history.
   std::filesystem::create_directories(data_dir);
-  ReplicaFleet fleet;
-  fleet.ship_path = data_dir + "/ship.log";
-  replica::FileShipLog ship(fleet.ship_path);
+  service::FileShipLog ship(data_dir + "/ship.log");
   options.ship = &ship;
 
   auto svc = service::WarehouseService::Open(
@@ -437,7 +345,6 @@ int main(int argc, char** argv) {
       "retail warehouse service ready: pos=%zu rows, data dir %s.\n"
       "Type 'help'.\n",
       config.num_pos_rows, data_dir.c_str());
-  if (boot_replicas > 0) StartReplicas(*svc, fleet, config, boot_replicas);
   if (svc->http_port() >= 0) {
     std::printf(
         "scrape endpoint: http://127.0.0.1:%d  "
@@ -533,39 +440,6 @@ int main(int argc, char** argv) {
         PrintProfile(*svc, format);
       } else if (upper == "ANOMALIES") {
         PrintAnomalies(*svc);
-      } else if (upper == "REPLICAS") {
-        std::string sub;
-        in >> sub;
-        if (sub == "start") {
-          size_t n = 0;
-          in >> n;
-          StartReplicas(*svc, fleet, config, n == 0 ? 1 : n);
-        } else if (sub == "catchup") {
-          CatchupReplicas(fleet);
-        } else if (sub == "query") {
-          size_t idx = 0;
-          in >> idx;
-          std::string sql;
-          std::getline(in, sql);
-          if (idx >= fleet.replicas.size()) {
-            std::printf("no replica %zu (have %zu)\n", idx,
-                        fleet.replicas.size());
-          } else {
-            const lattice::AnswerResult r =
-                fleet.replicas[idx]->Snapshot().Query(sql);
-            std::printf("-- replica %zu answered from %s (%zu rows read)\n",
-                        idx,
-                        r.from_base ? "base tables" : r.source_view.c_str(),
-                        r.rows_read);
-            std::printf("%s", r.rows.ToString(20).c_str());
-          }
-        } else if (sub.empty()) {
-          PrintReplicas(*svc, fleet);
-        } else {
-          std::printf(
-              "usage: replicas [start <n> | catchup | query <i> "
-              "SELECT ...]\n");
-        }
       } else if (upper == "MQO") {
         if (svc->GetStats().batches == 0) {
           std::printf("no batch yet; run `batch <kind> <n>` first\n");

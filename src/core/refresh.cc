@@ -234,16 +234,24 @@ std::optional<Table> FactRowsForKeys(const rel::Catalog& catalog,
 /// keys are grouped) from the (already updated) base data and writes the
 /// fresh rows into the summary table, in `keys` order. Only the fact
 /// rows matching the keys run through the view's own HashJoin -> Select
-/// -> GroupBy pipeline, the one EvaluateView uses.
+/// -> GroupBy pipeline, the one EvaluateView uses. Traced as
+/// refresh.recompute_scan (rows = fact rows fed to the join) even when
+/// `keys` is empty, so every refresh.view has the same span shape.
 void BatchRecompute(const rel::Catalog& catalog, SummaryTable& view,
-                    const std::vector<GroupKey>& keys, RefreshStats& stats) {
-  if (keys.empty()) return;
+                    const std::vector<GroupKey>& keys, RefreshStats& stats,
+                    obs::Tracer* tracer) {
+  obs::TraceSpan span(tracer, "refresh.recompute_scan");
+  if (keys.empty()) {
+    span.Attr("rows", uint64_t{0});
+    return;
+  }
   const ViewDef& def = view.def().physical;
   const std::optional<Table> survivors = FactRowsForKeys(catalog, def, keys);
   const Table& input = survivors.has_value()
                            ? *survivors
                            : catalog.GetTable(def.fact_table);
   stats.recompute_scan_rows += input.NumRows();
+  span.Attr("rows", static_cast<uint64_t>(input.NumRows()));
   const Table fresh =
       rel::GroupBy(JoinedRelation(catalog, def, input),
                    rel::GroupCols(def.group_by), def.aggregates);
@@ -287,6 +295,10 @@ RefreshStats RefreshCursor(const rel::Catalog& catalog, SummaryTable& view,
   // writeback deterministic.
   std::vector<GroupKey> recompute;
   GroupKey key;  // scratch, reused across delta rows
+  // The cursor loop; closed before the batched recompute so that scan is
+  // its sibling under refresh.view. Per-group recomputes nest inside it.
+  std::optional<obs::TraceSpan> apply(std::in_place, options.tracer,
+                                      "refresh.apply");
 
   for (size_t ti = 0; ti < summary_delta.NumRows(); ++ti) {
     const Row t = summary_delta.RowAt(ti);
@@ -337,7 +349,8 @@ RefreshStats RefreshCursor(const rel::Catalog& catalog, SummaryTable& view,
       if (options.batch_minmax_recompute) {
         recompute.push_back(std::move(key));
       } else {
-        BatchRecompute(catalog, view, {std::move(key)}, stats);
+        BatchRecompute(catalog, view, {std::move(key)}, stats,
+                       options.tracer);
       }
       continue;
     }
@@ -345,7 +358,8 @@ RefreshStats RefreshCursor(const rel::Catalog& catalog, SummaryTable& view,
     ++stats.updated;
   }
 
-  BatchRecompute(catalog, view, recompute, stats);
+  apply.reset();
+  BatchRecompute(catalog, view, recompute, stats, options.tracer);
   return stats;
 }
 
@@ -354,6 +368,10 @@ RefreshStats RefreshMerge(const rel::Catalog& catalog, SummaryTable& view,
                           const RefreshOptions& options) {
   RefreshStats stats;
   const RefreshLayout layout = MakeLayout(view, summary_delta);
+  // The merge pass up to the rebuilt table; the recompute scan follows
+  // as its sibling under refresh.view.
+  std::optional<obs::TraceSpan> apply(std::in_place, options.tracer,
+                                      "refresh.apply");
 
   auto key_less = [&](const Row& a, const Row& b) {
     for (size_t i = 0; i < layout.num_groups; ++i) {
@@ -438,10 +456,11 @@ RefreshStats RefreshMerge(const rel::Catalog& catalog, SummaryTable& view,
   rebuilt.Reserve(merged.size());
   for (Row& r : merged) rebuilt.Insert(std::move(r));
   view.LoadFrom(rebuilt);
+  apply.reset();
 
   // Merge always batches MIN/MAX recomputation: the table was already
   // rewritten wholesale, so per-group scans would have no benefit.
-  BatchRecompute(catalog, view, recompute_keys, stats);
+  BatchRecompute(catalog, view, recompute_keys, stats, options.tracer);
   return stats;
 }
 

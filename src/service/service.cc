@@ -24,9 +24,6 @@ constexpr const char* kCheckpointDir = "checkpoint";
 constexpr const char* kCheckpointTmp = "checkpoint.tmp";
 constexpr const char* kCheckpointPrev = "checkpoint.prev";
 constexpr const char* kSeqFile = "SEQ";
-/// Epoch number current at checkpoint time — the applied-epoch floor a
-/// replica bootstrapping from this checkpoint adopts.
-constexpr const char* kEpochFile = "EPOCH";
 
 uint64_t ReadSeqFile(const fs::path& path) {
   std::ifstream in(path);
@@ -137,15 +134,15 @@ std::unique_ptr<WarehouseService> WarehouseService::Open(
   // would have used, so the recovered state is byte-identical to it.
   // With a ship sink configured, every replayed record is collected for
   // re-publication (a record can be WAL-durable yet never shipped if the
-  // crash hit between append and batch; replicas dedup re-ships by
+  // crash hit between append and batch; consumers dedup re-ships by
   // sequence).
   uint64_t recovered = 0;
-  std::vector<replica::ShipRecord> replay_ships;
+  std::vector<ShipRecord> replay_ships;
   const WalReplayReport replay =
       ReplayWal((dir / kWalFile).string(), wh.catalog(), checkpoint_seq,
                 [&](WalRecord record) {
                   if (options.ship != nullptr) {
-                    replica::ShipRecord ship;
+                    ShipRecord ship;
                     ship.first_seq = record.seq;
                     ship.last_seq = record.seq;
                     ship.payload = EncodeChangeSet(record.changes);
@@ -172,7 +169,7 @@ WarehouseService::WarehouseService(
     std::string data_dir, warehouse::Warehouse wh, Options options,
     std::unique_ptr<obs::MetricsRegistry> owned_metrics,
     uint64_t checkpoint_seq, uint64_t recovered_records, uint64_t start_seq,
-    std::vector<replica::ShipRecord> replay_ships)
+    std::vector<ShipRecord> replay_ships)
     : data_dir_(std::move(data_dir)),
       options_(std::move(options)),
       owned_metrics_(std::move(owned_metrics)),
@@ -231,14 +228,14 @@ WarehouseService::WarehouseService(
   }
   if (options_.ship != nullptr) {
     // Re-ship WAL-recovered batches (each under a fresh epoch number —
-    // replicas that already hold one skip it by sequence), then floor
+    // consumers that already hold one skip it by sequence), then floor
     // our epoch numbering past everything the stream has ever carried.
-    for (replica::ShipRecord& ship : replay_ships) {
+    for (ShipRecord& ship : replay_ships) {
       ship.epoch = options_.ship->MaxEpoch() + 1;
       options_.ship->Publish(ship);
       metrics_->Add("service.ship_records");
       metrics_->Add("service.ship_bytes",
-                    replica::kShipFrameSize + ship.payload.size());
+                    kShipFrameSize + ship.payload.size());
     }
     epoch_base_ = options_.ship->MaxEpoch();
   }
@@ -377,10 +374,10 @@ void WarehouseService::ApplyItems(std::vector<IngestItem> items) {
   bool dims_changed = false;
   size_t runs = 0;
   warehouse::BatchReport report;
-  // One ship record per RunBatch run (not per drain): a replica must
+  // One ship record per RunBatch run (not per drain): a consumer must
   // replay the writer's exact batch trajectory to stay byte-identical,
   // and the trajectory's unit is the coalesced per-fact-table run.
-  std::vector<replica::ShipRecord> pending_ships;
+  std::vector<ShipRecord> pending_ships;
 
   // Correlation root for this drain: every event and span below (and,
   // via the tracer's per-thread stack, RunBatch's whole subtree) hangs
@@ -419,7 +416,7 @@ void WarehouseService::ApplyItems(std::vector<IngestItem> items) {
     core::ChangeSet merged = CoalesceChanges(std::move(run));
     dims_changed = dims_changed || !merged.dimensions.empty();
     if (options_.ship != nullptr) {
-      replica::ShipRecord ship;
+      ShipRecord ship;
       ship.first_seq = run_first;
       ship.last_seq = run_last;
       ship.payload = EncodeChangeSet(merged);
@@ -463,16 +460,16 @@ void WarehouseService::ApplyItems(std::vector<IngestItem> items) {
                  max_seq, window, "epoch " + std::to_string(epoch_number));
   if (options_.ship != nullptr) {
     // Publish only after the install: the epoch stamp promises "the
-    // writer's readers can see this batch", and replicas that catch up
+    // writer's readers can see this batch", and consumers that catch up
     // to it converge to exactly this epoch's bytes. All of the drain's
     // runs installed together, so they share the drain's epoch; a
-    // replica applies them run-by-run and lands on the same state.
-    for (replica::ShipRecord& ship : pending_ships) {
+    // consumer applies them run-by-run and lands on the same state.
+    for (ShipRecord& ship : pending_ships) {
       ship.epoch = epoch_number;
       options_.ship->Publish(ship);
       metrics_->Add("service.ship_records");
       metrics_->Add("service.ship_bytes",
-                    replica::kShipFrameSize + ship.payload.size());
+                    kShipFrameSize + ship.payload.size());
     }
   }
   slo_.ObserveWindow(window);
@@ -581,9 +578,6 @@ void WarehouseService::Checkpoint() {
   fs::remove_all(tmp, ec);
   warehouse::SaveWarehouse(warehouse_, tmp.string());
   WriteSeqFile(tmp / kSeqFile, target);
-  // The applied-epoch floor for a replica bootstrapping from this
-  // checkpoint (its state already contains every shipped batch <= SEQ).
-  WriteSeqFile(tmp / kEpochFile, versioned_.Current()->number);
   // Swap: keep the old checkpoint complete until the new one is in
   // place. Open() resolves every intermediate crash state.
   fs::remove_all(prev, ec);

@@ -19,8 +19,8 @@
 #include "obs/slo.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "replica/ship.h"
 #include "service/ingest.h"
+#include "service/ship.h"
 #include "service/versioned.h"
 #include "service/wal.h"
 #include "warehouse/warehouse.h"
@@ -105,13 +105,13 @@ class WarehouseService {
     size_t max_anomaly_bundles = 8;
     /// Epoch shipping (DESIGN.md §15): after each epoch install the
     /// maintenance thread publishes one ShipRecord (the batch's
-    /// coalesced change set + seq range + epoch) for read replicas to
+    /// coalesced change set + seq range + epoch) for consumers to
     /// replay. Must outlive the service. Epoch numbering fast-forwards
     /// past the stream's MaxEpoch() on restart, and WAL-recovered
-    /// batches are re-shipped (replicas dedup by sequence). DDL
-    /// (WithWriter) is NOT shipped — re-bootstrap replicas from a fresh
-    /// checkpoint after schema changes.
-    replica::ShipPublisher* ship = nullptr;
+    /// batches are re-shipped (consumers dedup by sequence). DDL
+    /// (WithWriter) is NOT shipped — a consumer must re-bootstrap after
+    /// schema changes.
+    ShipPublisher* ship = nullptr;
   };
 
   /// Point-in-time service numbers (the shell's `service stats`).
@@ -233,7 +233,7 @@ class WarehouseService {
                    std::unique_ptr<obs::MetricsRegistry> owned_metrics,
                    uint64_t checkpoint_seq, uint64_t recovered_records,
                    uint64_t start_seq,
-                   std::vector<replica::ShipRecord> replay_ships);
+                   std::vector<ShipRecord> replay_ships);
 
   /// Builds the next epoch from the warehouse's current summaries: each
   /// view is a copy-on-write Share() of the writer's table, so only the
@@ -297,7 +297,7 @@ class WarehouseService {
   uint64_t applied_seq_ = 0;
   uint64_t checkpoint_seq_ = 0;
   /// Epoch numbering floor: MaxEpoch() of the ship stream at Open, so a
-  /// restarted writer never reuses an epoch number replicas saw.
+  /// restarted writer never reuses an epoch number consumers saw.
   uint64_t epoch_base_ = 0;
   uint64_t batches_ = 0;
   uint64_t checkpoints_ = 0;

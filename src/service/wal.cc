@@ -34,24 +34,6 @@ const std::array<uint32_t, 256>& CrcTable() {
   return table;
 }
 
-// Incremental CRC-32: feed buffers into a running state seeded with
-// 0xFFFFFFFF; the final value is state ^ 0xFFFFFFFF.
-uint32_t Crc32Feed(uint32_t state, const uint8_t* data, size_t size) {
-  const auto& table = CrcTable();
-  for (size_t i = 0; i < size; ++i) {
-    state = table[(state ^ data[i]) & 0xFF] ^ (state >> 8);
-  }
-  return state;
-}
-
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
 void PutString(std::vector<uint8_t>& out, const std::string& s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out.insert(out.end(), s.begin(), s.end());
@@ -99,15 +81,13 @@ class Reader {
 
   uint32_t U32() {
     Need(4);
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= uint32_t{data_[pos_ + static_cast<size_t>(i)]} << (8 * i);
+    const uint32_t v = GetU32(data_ + pos_);
     pos_ += 4;
     return v;
   }
   uint64_t U64() {
     Need(8);
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= uint64_t{data_[pos_ + static_cast<size_t>(i)]} << (8 * i);
+    const uint64_t v = GetU64(data_ + pos_);
     pos_ += 8;
     return v;
   }
@@ -183,6 +163,14 @@ core::DeltaSet ReadDeltaSet(Reader& in, const rel::Schema& schema) {
 
 }  // namespace
 
+uint32_t Crc32Feed(uint32_t state, const uint8_t* data, size_t size) {
+  const auto& table = CrcTable();
+  for (size_t i = 0; i < size; ++i) {
+    state = table[(state ^ data[i]) & 0xFF] ^ (state >> 8);
+  }
+  return state;
+}
+
 uint32_t Crc32(const uint8_t* data, size_t size) {
   return Crc32Feed(0xFFFFFFFFu, data, size) ^ 0xFFFFFFFFu;
 }
@@ -219,8 +207,14 @@ core::ChangeSet DecodeChangeSet(const rel::Catalog& catalog,
     if (!catalog.HasTable(name)) {
       throw std::runtime_error("WAL: unknown dimension table '" + name + "'");
     }
-    changes.dimensions.emplace(
-        name, ReadDeltaSet(in, catalog.GetTable(name).schema()));
+    // The encoder iterates a map, so a repeated name is corruption;
+    // emplace would silently drop the second delta.
+    if (!changes.dimensions
+             .emplace(name, ReadDeltaSet(in, catalog.GetTable(name).schema()))
+             .second) {
+      throw std::runtime_error("WAL: duplicate dimension table '" + name +
+                               "'");
+    }
   }
   if (!in.AtEnd()) throw std::runtime_error("WAL: trailing payload bytes");
   return changes;
@@ -324,13 +318,8 @@ WalReplayReport ReplayWal(const std::string& path, const rel::Catalog& catalog,
       header[sizeof(kMagic)] != static_cast<char>(kVersion)) {
     throw std::runtime_error("WAL: bad header in " + path);
   }
-  uint64_t first_seq = 0;
-  for (int i = 0; i < 8; ++i) {
-    first_seq |= uint64_t{static_cast<uint8_t>(
-                     header[sizeof(kMagic) + 1 + static_cast<size_t>(i)])}
-                 << (8 * i);
-  }
-  report.first_seq = first_seq;
+  report.first_seq = GetU64(
+      reinterpret_cast<const uint8_t*>(header.data()) + sizeof(kMagic) + 1);
   report.valid_bytes = kHeaderSize;
 
   std::array<char, kFrameSize> frame{};
@@ -343,16 +332,10 @@ WalReplayReport ReplayWal(const std::string& path, const rel::Catalog& catalog,
       break;
     }
     offset += kFrameSize;
-    auto u = [&frame](size_t off, size_t n) {
-      uint64_t v = 0;
-      for (size_t i = 0; i < n; ++i) {
-        v |= uint64_t{static_cast<uint8_t>(frame[off + i])} << (8 * i);
-      }
-      return v;
-    };
-    const uint64_t seq = u(0, 8);
-    const uint32_t len = static_cast<uint32_t>(u(8, 4));
-    const uint32_t crc = static_cast<uint32_t>(u(12, 4));
+    const uint8_t* bytes = reinterpret_cast<const uint8_t*>(frame.data());
+    const uint64_t seq = GetU64(bytes);
+    const uint32_t len = GetU32(bytes + 8);
+    const uint32_t crc = GetU32(bytes + 12);
     if (len > file_size - offset) {
       // A corrupt length field would fail the CRC anyway; checking it
       // against the bytes actually present avoids attempting an up-to-
@@ -367,8 +350,7 @@ WalReplayReport ReplayWal(const std::string& path, const rel::Catalog& catalog,
       break;
     }
     offset += len;
-    uint32_t crc_state = Crc32Feed(
-        0xFFFFFFFFu, reinterpret_cast<const uint8_t*>(frame.data()), 12);
+    uint32_t crc_state = Crc32Feed(0xFFFFFFFFu, bytes, 12);
     crc_state = Crc32Feed(crc_state, payload.data(), payload.size());
     if ((crc_state ^ 0xFFFFFFFFu) != crc) {
       report.tail_truncated = true;  // corrupt record: never acknowledged

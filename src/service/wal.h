@@ -39,6 +39,34 @@ namespace sdelta::service {
 /// CRC-32 (IEEE 802.3 polynomial, the zlib crc32) over a byte buffer.
 uint32_t Crc32(const uint8_t* data, size_t size);
 
+/// Incremental CRC-32: feed buffers into a running state seeded with
+/// 0xFFFFFFFF; the checksum is the final state ^ 0xFFFFFFFF. Framed
+/// records (WAL, ship log) checksum frame then payload without copying
+/// them into one buffer.
+uint32_t Crc32Feed(uint32_t state, const uint8_t* data, size_t size);
+
+/// The little-endian byte codec of the WAL and the ship log, written
+/// byte-by-byte so both formats are host-order independent.
+inline void PutU32(std::vector<uint8_t>& out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+inline void PutU64(std::vector<uint8_t>& out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+inline uint32_t GetU32(const uint8_t* p) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= uint32_t{p[i]} << (8 * i);
+  return v;
+}
+
+inline uint64_t GetU64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= uint64_t{p[i]} << (8 * i);
+  return v;
+}
+
 /// Serializes a change set to the WAL payload encoding (exposed for
 /// tests; the encoding is deterministic — identical change sets produce
 /// identical bytes).
@@ -46,7 +74,8 @@ std::vector<uint8_t> EncodeChangeSet(const core::ChangeSet& changes);
 
 /// Decodes a WAL payload. Schemas are resolved against `catalog` (the
 /// table names in the payload must exist). Throws std::runtime_error on
-/// malformed payloads (wrong arity, unknown table, truncated buffer).
+/// malformed payloads (wrong arity, unknown or repeated table, truncated
+/// buffer).
 core::ChangeSet DecodeChangeSet(const rel::Catalog& catalog,
                                 const std::vector<uint8_t>& payload);
 

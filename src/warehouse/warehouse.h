@@ -128,12 +128,6 @@ class Warehouse {
   void DropSummaryTable(const std::string& name);
 
   size_t NumSummaryTables() const { return summaries_.size(); }
-  /// The maintained views exactly as the user declared them — what a
-  /// restore (LoadWarehouse) or a replica bootstrap must pass to end up
-  /// with this warehouse's summary set.
-  const std::vector<core::ViewDef>& defined_views() const {
-    return defined_views_;
-  }
   const core::SummaryTable& summary(const std::string& name) const;
   core::SummaryTable& summary_mutable(const std::string& name);
   const lattice::VLattice& vlattice() const { return lattice_; }

@@ -4,10 +4,14 @@
 // view — and (b) a registry whose counters reproduce the BatchReport.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "obs/export_chrome.h"
 #include "obs/export_json.h"
+#include "obs/profiler.h"
 #include "warehouse/retail_schema.h"
 #include "warehouse/warehouse.h"
 #include "warehouse/workload.h"
@@ -41,6 +45,52 @@ std::string AttrOf(const obs::SpanRecord& s, const std::string& key) {
     if (k == key) return v;
   }
   return "";
+}
+
+/// Runs one traced update batch at `threads` and returns the profiler's
+/// fold of it with wall times zeroed, after checking that every
+/// refresh.view span splits into exactly refresh.apply (the cursor/merge
+/// loop) and refresh.recompute_scan (whose rows = the fact rows the
+/// batch's MIN/MAX recompute fed the join).
+std::string RefreshProfile(size_t threads) {
+  obs::Tracer tracer;
+  Warehouse::Options options;
+  options.tracer = &tracer;
+  options.num_threads = threads;
+  Warehouse wh(MakeRetailCatalog(SmallConfig()), options);
+  wh.DefineSummaryTables(RetailSummaryTables());
+  tracer.Clear();
+  const BatchReport report =
+      wh.RunBatch(MakeUpdateGeneratingChanges(wh.catalog(), 300, 61));
+
+  std::map<uint64_t, std::vector<std::string>> children;
+  for (const obs::SpanRecord& s : tracer.spans()) {
+    children[s.parent_id].push_back(s.name);
+  }
+  size_t views = 0;
+  uint64_t scan_rows = 0;
+  for (const obs::SpanRecord& s : tracer.spans()) {
+    if (s.name == "refresh.recompute_scan") {
+      scan_rows += std::stoull(AttrOf(s, "rows"));
+    }
+    if (s.name != "refresh.view") continue;
+    ++views;
+    std::vector<std::string> names = children[s.id];
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{"refresh.apply",
+                                               "refresh.recompute_scan"}))
+        << AttrOf(s, "view");
+  }
+  EXPECT_EQ(views, wh.NumSummaryTables());
+  EXPECT_EQ(scan_rows, report.TotalRefresh().recompute_scan_rows);
+  // An update batch moves MIN/MAX extrema, so some group is recomputed.
+  EXPECT_GT(scan_rows, 0u);
+
+  obs::Profiler profiler;
+  profiler.RecordBatch(tracer.spans(), nullptr);
+  obs::Json doc = profiler.ToJson();
+  obs::NormalizeProfileTimes(doc);
+  return doc.Dump(2);
 }
 
 class ObsWarehouseTest : public ::testing::Test {
@@ -115,6 +165,14 @@ TEST_F(ObsWarehouseTest, RunBatchSpanTreeMirrorsThePlan) {
     EXPECT_NE(s.end_ns, 0u) << s.name;
     EXPECT_GE(s.end_ns, s.start_ns) << s.name;
   }
+}
+
+TEST_F(ObsWarehouseTest, RefreshViewSplitsIntoApplyAndRecomputeScan) {
+  // /profile and flame_dump attribute refresh time to the cursor/merge
+  // loop and the recompute scan, with the same tree at any thread count.
+  const std::string serial = RefreshProfile(1);
+  EXPECT_NE(serial.find("refresh.recompute_scan"), std::string::npos);
+  EXPECT_EQ(serial, RefreshProfile(4));
 }
 
 TEST_F(ObsWarehouseTest, ChromeTraceIsValidJsonWithOneEventPerSpan) {

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "relational/csv.h"
@@ -94,6 +95,33 @@ TEST_F(WalTest, HugeRowCountIsRejectedWithoutAllocation) {
     payload[rows_off + i] = static_cast<uint8_t>(huge_rows >> (8 * i));
   }
   EXPECT_THROW(DecodeChangeSet(catalog_, payload), std::runtime_error);
+}
+
+TEST_F(WalTest, DuplicateDimensionIsRejected) {
+  // The encoder iterates a map, so it never repeats a dimension table. A
+  // payload that does is corrupt: keeping either delta would silently
+  // change what a replay applies.
+  core::ChangeSet changes = MakeChanges(17);
+  const std::vector<uint8_t> no_dims = EncodeChangeSet(changes);
+  changes.dimensions =
+      warehouse::MakeItemRecategorization(catalog_, 3, 5).dimensions;
+  ASSERT_EQ(changes.dimensions.size(), 1u);
+  const std::vector<uint8_t> one_dim = EncodeChangeSet(changes);
+  // Layout: ... + u32 dimension count + (name, insertions, deletions)*.
+  const std::vector<uint8_t> section(one_dim.begin() + no_dims.size(),
+                                     one_dim.end());
+  std::vector<uint8_t> payload(no_dims.begin(), no_dims.end() - 4);
+  payload.insert(payload.end(), {2, 0, 0, 0});
+  payload.insert(payload.end(), section.begin(), section.end());
+  payload.insert(payload.end(), section.begin(), section.end());
+  try {
+    DecodeChangeSet(catalog_, payload);
+    FAIL() << "a repeated dimension table decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate dimension"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(WalTest, AppendAndReplay) {

@@ -343,28 +343,6 @@ TEST(PromLintTest, ConsistentMqoCountersLintClean) {
   EXPECT_TRUE(LintPrometheusText(doc).empty());
 }
 
-TEST(PromLintTest, ReplicaAheadOfWriterIsFlagged) {
-  const char* doc =
-      "# TYPE sdelta_writer_installed_epoch gauge\n"
-      "sdelta_writer_installed_epoch 4\n"
-      "# TYPE sdelta_replica_applied_epoch gauge\n"
-      "sdelta_replica_applied_epoch 5\n";
-  const auto problems = LintPrometheusText(doc);
-  ASSERT_EQ(problems.size(), 1u);
-  EXPECT_NE(problems[0].find("sdelta_replica_applied_epoch"),
-            std::string::npos);
-  EXPECT_NE(problems[0].find("exceeds"), std::string::npos);
-}
-
-TEST(PromLintTest, ReplicaAtOrBehindWriterLintsClean) {
-  const char* doc =
-      "# TYPE sdelta_writer_installed_epoch gauge\n"
-      "sdelta_writer_installed_epoch 4\n"
-      "# TYPE sdelta_replica_applied_epoch gauge\n"
-      "sdelta_replica_applied_epoch 4\n";
-  EXPECT_TRUE(LintPrometheusText(doc).empty());
-}
-
 TEST(PromLintTest, AbsentDiagnosticFamiliesSkipTheCrossChecks) {
   // A service with the anomaly layer off exports neither series; the
   // cross-family checks must not demand them.

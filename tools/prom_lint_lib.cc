@@ -446,10 +446,6 @@ class Linter {
                "sdelta_mqo_subplans_detected_total");
     require_le("sdelta_mqo_subplans_materialized_total",
                "sdelta_mqo_rule_fires_total");
-    // Replication: a replica can never be ahead of the writer's
-    // installed epoch (epochs only exist once the writer ships them).
-    require_le("sdelta_replica_applied_epoch",
-               "sdelta_writer_installed_epoch");
   }
 
   std::vector<std::string> errors_;

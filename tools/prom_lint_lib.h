@@ -37,9 +37,7 @@ namespace sdelta::tools {
 ///     counters (pruned <= written <= detections) stay consistent, and
 ///     mqo counters obey materialized <= detected and materialized <=
 ///     rule fires — each check applies only when both series appear in
-///     the document;
-///   * replication semantics: replica_applied_epoch <=
-///     writer_installed_epoch — again only when both series are present.
+///     the document.
 ///
 /// Returns the list of problems, one human-readable line each, with
 /// 1-based line numbers; empty = the document lints clean.
