@@ -9,10 +9,12 @@
 //       timing output.
 //   readers_with_maintenance  - the same readers run concurrently with
 //       a producer appending a fixed trajectory of insertion change
-//       sets through the WAL + auto-batching maintenance loop. The
-//       service's refresh-window histogram (the epoch-install swap,
-//       i.e. the paper's batch window as experienced by readers) is
-//       reported alongside.
+//       sets through the WAL + maintenance loop, flushing after every
+//       kChangeSetsPerFlush of them (explicit batch boundaries, so the
+//       batch and epoch counts do not depend on timing). The service's
+//       refresh-window histogram (the epoch-install swap, i.e. the
+//       paper's batch window as experienced by readers) is reported
+//       alongside.
 //   readers_with_scraping     - readers_with_maintenance plus a scraper
 //       thread hammering the embedded HTTP endpoint's /metrics route
 //       over a real socket for the whole run: the observability tax.
@@ -25,12 +27,12 @@
 //       read path.
 //
 // Writes BENCH_service.json entries for the CI bench gate:
-// appended_changesets / appended_rows are exact (the trajectory is
-// deterministic; a mismatch means the ingest path dropped or split
-// work), refresh_window_ms_mean / refresh_window_ms_p99 are
-// tolerance-gated timings, qps and the batching-dependent counts are
-// recorded but ignored by the gate (QPS is higher-is-better, so a
-// one-sided upper gate would point the wrong way).
+// appended_changesets / appended_rows / batches / epochs are exact (the
+// trajectory and its flush points are deterministic; a mismatch means
+// the ingest path dropped or split work), refresh_window_ms_mean /
+// refresh_window_ms_p99 are tolerance-gated timings, qps is recorded
+// but ignored by the gate (QPS is higher-is-better, so a one-sided
+// upper gate would point the wrong way).
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -61,6 +63,7 @@ constexpr size_t kReaderThreads = 4;
 constexpr size_t kQueriesPerIdleReader = 400;
 constexpr size_t kChangeSets = 120;
 constexpr size_t kRowsPerChangeSet = 64;
+constexpr size_t kChangeSetsPerFlush = 40;
 
 constexpr char kRegionQuery[] =
     "SELECT region, SUM(qty) AS q FROM pos, stores "
@@ -89,9 +92,7 @@ struct RunResult {
 std::unique_ptr<service::WarehouseService> OpenService(
     const fs::path& dir, bool with_http = false, bool with_profiler = false) {
   service::WarehouseService::Options options;
-  options.auto_batching = true;
-  options.queue.max_batch_rows = 512;
-  options.queue.max_batch_delay_seconds = 0.005;
+  options.auto_batching = false;  // batches form only at Flush
   if (with_http) options.http_port = 0;  // ephemeral loopback port
   if (with_profiler) {
     // The whole historical layer (DESIGN.md §13): per-batch time-series
@@ -225,6 +226,7 @@ RunResult RunWithMaintenance(const fs::path& dir, bool with_scraper = false,
     core::ApplyChangeSet(mirror, changes);
     r.appended_rows += changes.fact.insertions.NumRows();
     svc->Append(std::move(changes));
+    if ((i + 1) % kChangeSetsPerFlush == 0) svc->Flush();
   }
   svc->Flush();
   stop.store(true, std::memory_order_release);

@@ -12,10 +12,11 @@
 // `http_port` starts the embedded scrape endpoint on 127.0.0.1 (0 =
 // pick an ephemeral port; the bound port is printed at startup). Routes:
 // /metrics /healthz /varz /epochs /events /timeseries /profile /anomalies.
-// `http_port` -1 leaves the endpoint off. The writer publishes every
-// installed epoch to the durable ship log <data_dir>/ship.log (DESIGN.md
-// §15) for out-of-process consumers. A malformed numeric argument or an
-// extra argument prints the usage line and exits with status 2.
+// `http_port` -1 leaves the endpoint off. Every installed batch is
+// marked in <data_dir>/wal.log, so an out-of-process consumer can tail
+// the WAL and replay the writer's batches (DESIGN.md §15). A malformed
+// numeric argument or an extra argument prints the usage line and exits
+// with status 2.
 //
 // Commands:
 //   CREATE VIEW ...   define + materialize a summary table (SQL dialect)
@@ -37,7 +38,8 @@
 //   service stats     queue depth, epoch, staleness, last refresh window
 //   service flush     force a maintenance batch and wait for it
 //   service checkpoint
-//                     snapshot to <data_dir>/checkpoint + truncate WAL
+//                     snapshot to <data_dir>/checkpoint + start a new WAL
+//                     generation (the old one stays at wal.prev)
 //   service slo       SLO targets, violation counts, burn rate, health
 //   service events    the structured event log
 //   history [metric]  per-batch metric history from the time-series ring
@@ -63,7 +65,6 @@
 
 #include "obs/export_prometheus.h"
 #include "service/service.h"
-#include "service/ship.h"
 #include "warehouse/persistence.h"
 #include "warehouse/retail_schema.h"
 #include "warehouse/warehouse.h"
@@ -332,12 +333,6 @@ int main(int argc, char** argv) {
     options.http_port = ParseArg<int>("http_port", argv[3], -1, 65535);
   }
 
-  // The writer always publishes installed epochs durably, so a consumer
-  // can tail the log later (or across restarts) without missing history.
-  std::filesystem::create_directories(data_dir);
-  service::FileShipLog ship(data_dir + "/ship.log");
-  options.ship = &ship;
-
   auto svc = service::WarehouseService::Open(
       data_dir, warehouse::MakeRetailCatalog(config),
       /*views=*/{}, options);
@@ -421,7 +416,7 @@ int main(int argc, char** argv) {
         } else if (sub == "checkpoint") {
           svc->Checkpoint();
           const service::WarehouseService::Stats s = svc->GetStats();
-          std::printf("checkpointed at seq %llu (WAL truncated)\n",
+          std::printf("checkpointed at seq %llu (old WAL kept as wal.prev)\n",
                       static_cast<unsigned long long>(s.checkpoint_seq));
         } else if (sub == "slo") {
           PrintServiceSlo(*svc);

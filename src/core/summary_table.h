@@ -192,7 +192,7 @@ class SummaryTable {
 /// under Value::Compare. Summary schemas lead with the group-by columns
 /// and keys are unique, so the order is total and the sorted CSV of a
 /// summary table is a pure function of its *contents* — the byte-compare
-/// anchor for ship-log replay convergence (tests/service/ship_test.cc),
+/// anchor for WAL replay convergence (tests/service/log_shipping_test.cc),
 /// where insertion order legitimately differs.
 rel::Table CanonicalizeRows(const rel::Table& physical_rows);
 

@@ -98,8 +98,7 @@ core::ChangeSet CoalesceChanges(std::vector<IngestItem> items) {
   for (size_t i = 1; i < items.size(); ++i) {
     core::ChangeSet& next = items[i].changes;
     if (next.fact_table != merged.fact_table) {
-      throw std::invalid_argument(
-          "CoalesceChanges: mixed fact tables in one run");
+      throw std::runtime_error("CoalesceChanges: mixed fact tables in one run");
     }
     AppendRows(merged.fact.insertions, next.fact.insertions);
     AppendRows(merged.fact.deletions, next.fact.deletions);

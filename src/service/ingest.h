@@ -90,7 +90,9 @@ class IngestQueue {
 /// Folds a drained run of items (all sharing one fact table) into the
 /// single coalesced ChangeSet the maintenance batch applies: fact and
 /// dimension deltas are concatenated in sequence order, so applying the
-/// coalesced set equals applying the items one by one.
+/// coalesced set equals applying the items one by one. Throws
+/// std::runtime_error on items of two fact tables (in a WAL marker's
+/// range, that is corruption).
 core::ChangeSet CoalesceChanges(std::vector<IngestItem> items);
 
 }  // namespace sdelta::service

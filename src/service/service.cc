@@ -129,27 +129,19 @@ std::unique_ptr<WarehouseService> WarehouseService::Open(
           : warehouse::Warehouse(std::move(bootstrap), options.warehouse);
   if (!have_checkpoint) wh.DefineSummaryTables(views);
 
-  // Replay the WAL tail through the normal batch path, one batch per
-  // record — the same boundaries an uninterrupted per-append-flush run
-  // would have used, so the recovered state is byte-identical to it.
-  // With a ship sink configured, every replayed record is collected for
-  // re-publication (a record can be WAL-durable yet never shipped if the
-  // crash hit between append and batch; consumers dedup re-ships by
-  // sequence).
+  // Replay the WAL tail through the normal batch path along the WAL's
+  // markers: each marked range is the batch the writer ran, so the
+  // recovered state is byte-identical to what its readers saw. Records
+  // past the last marker were never installed; each replays as its own
+  // batch.
   uint64_t recovered = 0;
-  std::vector<ShipRecord> replay_ships;
+  std::vector<uint64_t> unmarked;
   const WalReplayReport replay =
       ReplayWal((dir / kWalFile).string(), wh.catalog(), checkpoint_seq,
-                [&](WalRecord record) {
-                  if (options.ship != nullptr) {
-                    ShipRecord ship;
-                    ship.first_seq = record.seq;
-                    ship.last_seq = record.seq;
-                    ship.payload = EncodeChangeSet(record.changes);
-                    replay_ships.push_back(std::move(ship));
-                  }
-                  wh.RunBatch(record.changes);
-                  ++recovered;
+                [&](WalBatch batch) {
+                  wh.RunBatch(batch.changes);
+                  recovered += batch.last_seq - batch.first_seq + 1;
+                  if (batch.epoch == 0) unmarked.push_back(batch.last_seq);
                 });
   if (replay.tail_truncated) {
     // Cut the torn tail before the WalWriter below opens with O_APPEND:
@@ -160,16 +152,23 @@ std::unique_ptr<WarehouseService> WarehouseService::Open(
   }
   const uint64_t start_seq = std::max(checkpoint_seq, replay.last_seq);
 
-  return std::unique_ptr<WarehouseService>(new WarehouseService(
+  std::unique_ptr<WarehouseService> svc(new WarehouseService(
       std::move(data_dir), std::move(wh), std::move(options), std::move(owned),
-      checkpoint_seq, recovered, start_seq, std::move(replay_ships)));
+      checkpoint_seq, recovered, start_seq, replay.max_epoch));
+  // The unmarked records became visible in the initial epoch; mark them
+  // one per record, as they were applied.
+  for (const uint64_t seq : unmarked) {
+    svc->wal_->AppendMarker(svc->versioned_.Current()->number, seq, seq);
+    svc->metrics_->Add("service.wal_markers");
+  }
+  return svc;
 }
 
 WarehouseService::WarehouseService(
     std::string data_dir, warehouse::Warehouse wh, Options options,
     std::unique_ptr<obs::MetricsRegistry> owned_metrics,
     uint64_t checkpoint_seq, uint64_t recovered_records, uint64_t start_seq,
-    std::vector<ShipRecord> replay_ships)
+    uint64_t epoch_floor)
     : data_dir_(std::move(data_dir)),
       options_(std::move(options)),
       owned_metrics_(std::move(owned_metrics)),
@@ -177,7 +176,8 @@ WarehouseService::WarehouseService(
       events_(options_.event_log_capacity),
       slo_(options_.slo, metrics_),
       wal_(std::make_unique<WalWriter>((fs::path(data_dir_) / kWalFile).string(),
-                                       start_seq + 1, options_.wal_sync)),
+                                       start_seq + 1, options_.wal_sync,
+                                       epoch_floor)),
       queue_(options_.queue),
       warehouse_(std::move(wh)) {
   obs_.metrics = metrics_;
@@ -226,19 +226,8 @@ WarehouseService::WarehouseService(
                    static_cast<double>(recovered_records),
                    "WAL tail replayed by Open");
   }
-  if (options_.ship != nullptr) {
-    // Re-ship WAL-recovered batches (each under a fresh epoch number —
-    // consumers that already hold one skip it by sequence), then floor
-    // our epoch numbering past everything the stream has ever carried.
-    for (ShipRecord& ship : replay_ships) {
-      ship.epoch = options_.ship->MaxEpoch() + 1;
-      options_.ship->Publish(ship);
-      metrics_->Add("service.ship_records");
-      metrics_->Add("service.ship_bytes",
-                    kShipFrameSize + ship.payload.size());
-    }
-    epoch_base_ = options_.ship->MaxEpoch();
-  }
+  epoch_floor_ = epoch_floor;
+  metrics_->Add("service.wal_markers", 0);
   versioned_.Install(
       BuildEpoch(/*dims_changed=*/true, /*full_rebuild=*/true));
   // Set before the thread spawns so a /healthz scrape racing startup
@@ -275,7 +264,7 @@ std::shared_ptr<const Epoch> WarehouseService::BuildEpoch(
   const std::shared_ptr<const Epoch> prev = versioned_.Current();
   const lattice::VLattice& wl = warehouse_.vlattice();
   auto next = std::make_shared<Epoch>();
-  next->number = prev ? prev->number + 1 : epoch_base_ + 1;
+  next->number = prev ? prev->number + 1 : epoch_floor_ + 1;
   span.Attr("epoch", next->number);
   next->metrics = metrics_;
   next->obs = &obs_;
@@ -374,10 +363,10 @@ void WarehouseService::ApplyItems(std::vector<IngestItem> items) {
   bool dims_changed = false;
   size_t runs = 0;
   warehouse::BatchReport report;
-  // One ship record per RunBatch run (not per drain): a consumer must
-  // replay the writer's exact batch trajectory to stay byte-identical,
-  // and the trajectory's unit is the coalesced per-fact-table run.
-  std::vector<ShipRecord> pending_ships;
+  // One WAL marker per RunBatch run (not per drain): recovery and
+  // consumers must replay the writer's exact batch trajectory to stay
+  // byte-identical, and its unit is the coalesced per-fact-table run.
+  std::vector<std::pair<uint64_t, uint64_t>> run_ranges;
 
   // Correlation root for this drain: every event and span below (and,
   // via the tracer's per-thread stack, RunBatch's whole subtree) hangs
@@ -408,20 +397,12 @@ void WarehouseService::ApplyItems(std::vector<IngestItem> items) {
            items[j].changes.fact_table == items[i].changes.fact_table) {
       ++j;
     }
-    const uint64_t run_first = items[i].seq;
-    const uint64_t run_last = items[j - 1].seq;
+    run_ranges.emplace_back(items[i].seq, items[j - 1].seq);
     std::vector<IngestItem> run(std::make_move_iterator(items.begin() + i),
                                 std::make_move_iterator(items.begin() + j));
     metrics_->Add("service.coalesced_changesets", run.size());
     core::ChangeSet merged = CoalesceChanges(std::move(run));
     dims_changed = dims_changed || !merged.dimensions.empty();
-    if (options_.ship != nullptr) {
-      ShipRecord ship;
-      ship.first_seq = run_first;
-      ship.last_seq = run_last;
-      ship.payload = EncodeChangeSet(merged);
-      pending_ships.push_back(std::move(ship));
-    }
     if (detector_ != nullptr) {
       // Estimate side of the EXPLAIN ANALYZE bundle artifact, built
       // against pre-batch base-table sizes (what the planner saw).
@@ -458,19 +439,13 @@ void WarehouseService::ApplyItems(std::vector<IngestItem> items) {
   }
   events_.Record(obs::EventType::kEpochInstall, batch_id, /*request_id=*/0,
                  max_seq, window, "epoch " + std::to_string(epoch_number));
-  if (options_.ship != nullptr) {
-    // Publish only after the install: the epoch stamp promises "the
-    // writer's readers can see this batch", and consumers that catch up
-    // to it converge to exactly this epoch's bytes. All of the drain's
-    // runs installed together, so they share the drain's epoch; a
-    // consumer applies them run-by-run and lands on the same state.
-    for (ShipRecord& ship : pending_ships) {
-      ship.epoch = epoch_number;
-      options_.ship->Publish(ship);
-      metrics_->Add("service.ship_records");
-      metrics_->Add("service.ship_bytes",
-                    kShipFrameSize + ship.payload.size());
-    }
+  // Mark only after the install, so a marker's epoch is one readers
+  // saw; the drain's runs installed together and share it. Marking before
+  // the applied_seq_ publish below keeps a Checkpoint (which waits for
+  // it) from starting a new WAL generation ahead of the markers.
+  for (const auto& [first, last] : run_ranges) {
+    wal_->AppendMarker(epoch_number, first, last);
+    metrics_->Add("service.wal_markers");
   }
   slo_.ObserveWindow(window);
   metrics_->Observe("service.refresh_window", window);
@@ -584,9 +559,10 @@ void WarehouseService::Checkpoint() {
   if (fs::exists(ckpt)) fs::rename(ckpt, prev);
   fs::rename(tmp, ckpt);
   fs::remove_all(prev, ec);
-  // Log truncation commits the checkpoint: replay now starts at
-  // target + 1, which is exactly what the snapshot already contains.
-  wal_->Reset(target + 1);
+  // The new WAL generation commits the checkpoint: replay now starts at
+  // target + 1, what the snapshot already contains. Consumers one
+  // checkpoint behind read the old one at wal.prev.
+  wal_->Reset(target + 1, versioned_.Current()->number);
   events_.Record(obs::EventType::kWalCheckpoint, /*batch_id=*/0,
                  /*request_id=*/0, target, /*value=*/0,
                  "seq " + std::to_string(target));

@@ -20,7 +20,6 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "service/ingest.h"
-#include "service/ship.h"
 #include "service/versioned.h"
 #include "service/wal.h"
 #include "warehouse/warehouse.h"
@@ -44,8 +43,9 @@ namespace sdelta::service {
 /// Durability invariant: once Append returns, the change set is in the
 /// WAL; warehouse state after a crash equals
 ///   checkpoint ∘ replay(records with seq > checkpoint sequence),
-/// with each replayed record applied as its own batch — byte-identical
-/// to an uninterrupted run that flushed after every append.
+/// replayed along the WAL's batch markers (DESIGN.md §15), which the
+/// maintenance thread appends after each epoch install and log-shipping
+/// consumers replay the same way.
 class WarehouseService {
  public:
   struct Options {
@@ -103,15 +103,6 @@ class WarehouseService {
     obs::AnomalyConfig anomaly;
     /// Flight-recorder retention: newest bundles kept on disk.
     size_t max_anomaly_bundles = 8;
-    /// Epoch shipping (DESIGN.md §15): after each epoch install the
-    /// maintenance thread publishes one ShipRecord (the batch's
-    /// coalesced change set + seq range + epoch) for consumers to
-    /// replay. Must outlive the service. Epoch numbering fast-forwards
-    /// past the stream's MaxEpoch() on restart, and WAL-recovered
-    /// batches are re-shipped (consumers dedup by sequence). DDL
-    /// (WithWriter) is NOT shipped — a consumer must re-bootstrap after
-    /// schema changes.
-    ShipPublisher* ship = nullptr;
   };
 
   /// Point-in-time service numbers (the shell's `service stats`).
@@ -148,8 +139,10 @@ class WarehouseService {
   /// and checkpoints). With an existing checkpoint the bootstrap
   /// catalog is ignored and state is restored from it; the WAL tail
   /// (seq > checkpoint sequence) is then replayed through the normal
-  /// batch path, one batch per record. Fresh directories build the
-  /// warehouse from `bootstrap` and materialize `views`. The
+  /// batch path along the WAL's markers; each record past the last
+  /// marker replays as its own batch and gets a fresh marker. Fresh
+  /// directories build the warehouse from `bootstrap` and materialize
+  /// `views`. The
   /// maintenance thread is running when Open returns.
   static std::unique_ptr<WarehouseService> Open(
       std::string data_dir, rel::Catalog bootstrap,
@@ -182,8 +175,9 @@ class WarehouseService {
   ReadSnapshot Snapshot() const { return versioned_.Pin(); }
 
   /// Flushes, snapshots the warehouse to `<data_dir>/checkpoint` (via
-  /// warehouse::SaveWarehouse plus a SEQ marker), and truncates the
-  /// WAL. Appends are blocked for the duration. Crash-safe: the new
+  /// warehouse::SaveWarehouse plus a SEQ file), and starts a new WAL
+  /// generation, keeping the previous one at `<data_dir>/wal.prev`.
+  /// Appends are blocked for the duration. Crash-safe: the new
   /// checkpoint is built in a temp directory and swapped in by rename,
   /// with the previous checkpoint kept until the swap completes.
   void Checkpoint();
@@ -232,8 +226,7 @@ class WarehouseService {
                    Options options,
                    std::unique_ptr<obs::MetricsRegistry> owned_metrics,
                    uint64_t checkpoint_seq, uint64_t recovered_records,
-                   uint64_t start_seq,
-                   std::vector<ShipRecord> replay_ships);
+                   uint64_t start_seq, uint64_t epoch_floor);
 
   /// Builds the next epoch from the warehouse's current summaries: each
   /// view is a copy-on-write Share() of the writer's table, so only the
@@ -277,7 +270,10 @@ class WarehouseService {
   std::unique_ptr<obs::FlightRecorder> recorder_;
 
   /// Serializes Append (sequence assignment + WAL append + enqueue) and
-  /// is held across Checkpoint/WithWriter to fence out producers.
+  /// is held across Checkpoint/WithWriter to fence out producers. Those
+  /// two wait for applied_seq_ while holding it, so the maintenance
+  /// thread never takes it: its marker appends are serialized inside
+  /// WalWriter instead.
   std::mutex wal_mu_;
   std::unique_ptr<WalWriter> wal_;
   std::atomic<uint64_t> last_seq_{0};
@@ -296,9 +292,10 @@ class WarehouseService {
   std::condition_variable state_cv_;
   uint64_t applied_seq_ = 0;
   uint64_t checkpoint_seq_ = 0;
-  /// Epoch numbering floor: MaxEpoch() of the ship stream at Open, so a
-  /// restarted writer never reuses an epoch number consumers saw.
-  uint64_t epoch_base_ = 0;
+  /// Epoch numbering floor: the largest epoch the WAL recorded at Open
+  /// (header floor or marker), so a restarted writer never reuses an
+  /// epoch number a consumer saw.
+  uint64_t epoch_floor_ = 0;
   uint64_t batches_ = 0;
   uint64_t checkpoints_ = 0;
   uint64_t recovered_records_ = 0;

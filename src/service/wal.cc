@@ -3,21 +3,52 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
+
+#include "service/ingest.h"
 
 namespace sdelta::service {
 
 namespace {
 
+// The little-endian byte codec, written byte-by-byte so the format is
+// host-order independent.
+void PutU32(std::vector<uint8_t>& out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+void PutU64(std::vector<uint8_t>& out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+uint32_t GetU32(const uint8_t* p) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= uint32_t{p[i]} << (8 * i);
+  return v;
+}
+
+uint64_t GetU64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= uint64_t{p[i]} << (8 * i);
+  return v;
+}
+
 constexpr char kMagic[7] = {'S', 'D', 'W', 'A', 'L', '1', '\n'};
-constexpr uint8_t kVersion = 1;
-constexpr size_t kHeaderSize = sizeof(kMagic) + 1 + 8;
+constexpr uint8_t kVersion = 2;
 // Record framing: u64 seq + u32 len + u32 crc.
 constexpr size_t kFrameSize = 8 + 4 + 4;
+// A marker is the frame with seq 0 (change sets number from 1) around
+// u64 epoch + u64 first_seq + u64 last_seq.
+constexpr uint64_t kMarkerSeq = 0;
+constexpr uint32_t kMarkerPayload = 8 + 8 + 8;
+static_assert(kFrameSize + kMarkerPayload == kWalMarkerBytes);
 
 const std::array<uint32_t, 256>& CrcTable() {
   static const std::array<uint32_t, 256> table = [] {
@@ -32,6 +63,32 @@ const std::array<uint32_t, 256>& CrcTable() {
     return t;
   }();
   return table;
+}
+
+/// Incremental CRC-32: a running state seeded with 0xFFFFFFFF; the
+/// checksum is the final state ^ 0xFFFFFFFF. Frames are checksummed
+/// then payload without copying them into one buffer.
+uint32_t Crc32Feed(uint32_t state, const uint8_t* data, size_t size) {
+  const auto& table = CrcTable();
+  for (size_t i = 0; i < size; ++i) {
+    state = table[(state ^ data[i]) & 0xFF] ^ (state >> 8);
+  }
+  return state;
+}
+
+/// seq + len + crc + payload. The CRC covers seq + len + payload, so a
+/// flipped bit anywhere in the record — including a bogus length that
+/// would otherwise drive a huge allocation — reads as a torn tail.
+std::vector<uint8_t> Frame(uint64_t seq, const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> frame;
+  frame.reserve(kFrameSize + payload.size());
+  PutU64(frame, seq);
+  PutU32(frame, static_cast<uint32_t>(payload.size()));
+  uint32_t crc_state = Crc32Feed(0xFFFFFFFFu, frame.data(), frame.size());
+  crc_state = Crc32Feed(crc_state, payload.data(), payload.size());
+  PutU32(frame, crc_state ^ 0xFFFFFFFFu);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return frame;
 }
 
 void PutString(std::vector<uint8_t>& out, const std::string& s) {
@@ -163,14 +220,6 @@ core::DeltaSet ReadDeltaSet(Reader& in, const rel::Schema& schema) {
 
 }  // namespace
 
-uint32_t Crc32Feed(uint32_t state, const uint8_t* data, size_t size) {
-  const auto& table = CrcTable();
-  for (size_t i = 0; i < size; ++i) {
-    state = table[(state ^ data[i]) & 0xFF] ^ (state >> 8);
-  }
-  return state;
-}
-
 uint32_t Crc32(const uint8_t* data, size_t size) {
   return Crc32Feed(0xFFFFFFFFu, data, size) ^ 0xFFFFFFFFu;
 }
@@ -220,43 +269,47 @@ core::ChangeSet DecodeChangeSet(const rel::Catalog& catalog,
   return changes;
 }
 
-WalWriter::WalWriter(std::string path, uint64_t first_seq, bool sync)
+std::string PreviousWalPath(const std::string& path) {
+  return std::filesystem::path(path).replace_extension(".prev").string();
+}
+
+WalWriter::WalWriter(std::string path, uint64_t first_seq, bool sync,
+                     uint64_t epoch_floor)
     : path_(std::move(path)), sync_(sync) {
-  OpenOrCreate(first_seq);
+  fd_ = OpenLog(path_, first_seq, epoch_floor);
 }
 
 WalWriter::~WalWriter() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void WalWriter::OpenOrCreate(uint64_t first_seq) {
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd_ < 0) throw std::runtime_error("WAL: cannot open " + path_);
-  const off_t size = ::lseek(fd_, 0, SEEK_END);
-  if (size > 0) return;  // existing log: append after its tail
+bool WalWriter::healthy() const {
+  std::scoped_lock lock(mu_);
+  return fd_ >= 0 && !append_failed_;
+}
+
+int WalWriter::OpenLog(const std::string& path, uint64_t first_seq,
+                       uint64_t epoch_floor) const {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  if (fd < 0) throw std::runtime_error("WAL: cannot open " + path);
+  if (::lseek(fd, 0, SEEK_END) > 0) return fd;  // append after its tail
   std::vector<uint8_t> header(kMagic, kMagic + sizeof(kMagic));
   header.push_back(kVersion);
   PutU64(header, first_seq);
-  if (::write(fd_, header.data(), header.size()) !=
+  PutU64(header, epoch_floor);
+  if (::write(fd, header.data(), header.size()) !=
       static_cast<ssize_t>(header.size())) {
-    throw std::runtime_error("WAL: cannot write header to " + path_);
+    ::close(fd);
+    throw std::runtime_error("WAL: cannot write header to " + path);
   }
-  if (sync_) ::fsync(fd_);
+  if (sync_) ::fsync(fd);
+  return fd;
 }
 
-size_t WalWriter::Append(uint64_t seq, const core::ChangeSet& changes) {
-  const std::vector<uint8_t> payload = EncodeChangeSet(changes);
-  std::vector<uint8_t> frame;
-  frame.reserve(kFrameSize + payload.size());
-  PutU64(frame, seq);
-  PutU32(frame, static_cast<uint32_t>(payload.size()));
-  // The CRC covers seq + len + payload, so a flipped bit anywhere in the
-  // record — including a bogus length that would otherwise drive a huge
-  // allocation — reads as a torn tail.
-  uint32_t crc_state = Crc32Feed(0xFFFFFFFFu, frame.data(), frame.size());
-  crc_state = Crc32Feed(crc_state, payload.data(), payload.size());
-  PutU32(frame, crc_state ^ 0xFFFFFFFFu);
-  frame.insert(frame.end(), payload.begin(), payload.end());
+size_t WalWriter::AppendFrame(uint64_t seq,
+                              const std::vector<uint8_t>& payload) {
+  const std::vector<uint8_t> frame = Frame(seq, payload);
+  std::scoped_lock lock(mu_);
   // One write call per record keeps torn records to the file tail.
   if (::write(fd_, frame.data(), frame.size()) !=
       static_cast<ssize_t>(frame.size())) {
@@ -267,36 +320,45 @@ size_t WalWriter::Append(uint64_t seq, const core::ChangeSet& changes) {
   return frame.size();
 }
 
-void WalWriter::Reset(uint64_t first_seq) {
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
-  // Build the fresh empty log beside the old one and rename it into
-  // place: every crash point leaves either the old complete log or the
-  // new headered one, never a header-less file.
+size_t WalWriter::Append(uint64_t seq, const core::ChangeSet& changes) {
+  return AppendFrame(seq, EncodeChangeSet(changes));
+}
+
+void WalWriter::AppendMarker(uint64_t epoch, uint64_t first_seq,
+                             uint64_t last_seq) {
+  std::vector<uint8_t> payload;
+  PutU64(payload, epoch);
+  PutU64(payload, first_seq);
+  PutU64(payload, last_seq);
+  AppendFrame(kMarkerSeq, payload);
+}
+
+void WalWriter::Reset(uint64_t first_seq, uint64_t epoch_floor) {
+  std::scoped_lock lock(mu_);
+  // Build the fresh empty log beside the old one, keep the old one as
+  // the previous generation by a hard link, and rename the fresh one
+  // into place: every crash point leaves a complete log at path_.
   const std::string tmp = path_ + ".reset";
-  const int tmp_fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (tmp_fd < 0) throw std::runtime_error("WAL: cannot create " + tmp);
-  std::vector<uint8_t> header(kMagic, kMagic + sizeof(kMagic));
-  header.push_back(kVersion);
-  PutU64(header, first_seq);
-  const ssize_t written = ::write(tmp_fd, header.data(), header.size());
-  if (written != static_cast<ssize_t>(header.size())) {
-    ::close(tmp_fd);
-    throw std::runtime_error("WAL: cannot write header to " + tmp);
+  const std::string prev = PreviousWalPath(path_);
+  ::unlink(tmp.c_str());
+  ::close(OpenLog(tmp, first_seq, epoch_floor));
+  ::unlink(prev.c_str());
+  if (::link(path_.c_str(), prev.c_str()) != 0) {
+    throw std::runtime_error("WAL: cannot keep " + path_ + " as " + prev);
   }
-  if (sync_) ::fsync(tmp_fd);
-  ::close(tmp_fd);
   if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
     throw std::runtime_error("WAL: cannot rename " + tmp + " over " + path_);
   }
-  OpenOrCreate(first_seq);
+  ::close(fd_);
+  fd_ = -1;
+  fd_ = OpenLog(path_, first_seq, epoch_floor);
   // A successful reset just proved the log is writable again.
   append_failed_ = false;
 }
 
 WalReplayReport ReplayWal(const std::string& path, const rel::Catalog& catalog,
                           uint64_t after_seq,
-                          const std::function<void(WalRecord)>& fn) {
+                          const std::function<void(WalBatch)>& fn) {
   WalReplayReport report;
   std::ifstream in(path, std::ios::binary);
   if (!in) return report;  // no log yet: empty
@@ -304,26 +366,32 @@ WalReplayReport ReplayWal(const std::string& path, const rel::Catalog& catalog,
   const uint64_t file_size = static_cast<uint64_t>(in.tellg());
   in.seekg(0, std::ios::beg);
   if (file_size == 0) return report;  // crashed before the header: empty
-  if (file_size < kHeaderSize) {
+  if (file_size < kWalHeaderBytes) {
     // Torn header write. Records only follow a complete header, so
     // nothing was ever acknowledged; flag the tail so the caller
     // truncates to valid_bytes (0) before appending.
     report.tail_truncated = true;
     return report;
   }
-  std::array<char, kHeaderSize> header{};
+  std::array<char, kWalHeaderBytes> header{};
   in.read(header.data(), header.size());
   if (in.gcount() != static_cast<std::streamsize>(header.size()) ||
       std::memcmp(header.data(), kMagic, sizeof(kMagic)) != 0 ||
       header[sizeof(kMagic)] != static_cast<char>(kVersion)) {
     throw std::runtime_error("WAL: bad header in " + path);
   }
-  report.first_seq = GetU64(
-      reinterpret_cast<const uint8_t*>(header.data()) + sizeof(kMagic) + 1);
-  report.valid_bytes = kHeaderSize;
+  const uint8_t* header_bytes =
+      reinterpret_cast<const uint8_t*>(header.data()) + sizeof(kMagic) + 1;
+  report.first_seq = GetU64(header_bytes);
+  report.max_epoch = GetU64(header_bytes + 8);
+  report.valid_bytes = kWalHeaderBytes;
 
+  // Records past the last marker (with seq > after_seq), waiting for
+  // the marker that says how the writer batched them.
+  std::deque<IngestItem> pending;
+  uint64_t marked_seq = report.first_seq - 1;  // last seq a marker covered
   std::array<char, kFrameSize> frame{};
-  uint64_t offset = kHeaderSize;
+  uint64_t offset = kWalHeaderBytes;
   while (true) {
     in.read(frame.data(), frame.size());
     if (in.gcount() == 0) break;  // clean end of log
@@ -356,15 +424,49 @@ WalReplayReport ReplayWal(const std::string& path, const rel::Catalog& catalog,
       report.tail_truncated = true;  // corrupt record: never acknowledged
       break;
     }
-    WalRecord record;
-    record.seq = seq;
-    // Decode even below the replay cutoff: a decode failure is corruption
-    // and must stop the scan, checkpointed or not.
-    record.changes = DecodeChangeSet(catalog, payload);
-    ++report.records;
-    report.last_seq = seq;
+    if (seq != kMarkerSeq) {
+      IngestItem item;
+      item.seq = seq;
+      // Decode even below the replay cutoff: a decode failure is
+      // corruption and must stop the scan, checkpointed or not.
+      item.changes = DecodeChangeSet(catalog, payload);
+      ++report.records;
+      report.last_seq = seq;
+      report.valid_bytes = offset;
+      if (seq > after_seq) pending.push_back(std::move(item));
+      continue;
+    }
+    if (len != kMarkerPayload) throw std::runtime_error("WAL: bad marker size");
+    const uint64_t epoch = GetU64(payload.data());
+    const uint64_t first = GetU64(payload.data() + 8);
+    const uint64_t last = GetU64(payload.data() + 16);
+    if (first > last) throw std::runtime_error("WAL: inverted marker range");
+    if (first != marked_seq + 1) {  // overlaps or skips unmarked records
+      throw std::runtime_error("WAL: marker does not follow the previous one");
+    }
+    if (last > report.last_seq) {
+      throw std::runtime_error("WAL: marker past the last record");
+    }
+    marked_seq = last;
+    report.max_epoch = std::max(report.max_epoch, epoch);
     report.valid_bytes = offset;
-    if (seq > after_seq) fn(std::move(record));
+    if (last <= after_seq) continue;
+    if (first <= after_seq) {
+      throw std::runtime_error("WAL: marker straddles the replay cutoff");
+    }
+    std::vector<IngestItem> run;
+    while (!pending.empty() && pending.front().seq <= last) {
+      run.push_back(std::move(pending.front()));
+      pending.pop_front();
+    }
+    if (run.size() != last - first + 1 || run.front().seq != first) {
+      throw std::runtime_error("WAL: marker does not match its records");
+    }
+    // CoalesceChanges rejects a marker spanning two fact tables.
+    fn({epoch, first, last, CoalesceChanges(std::move(run))});
+  }
+  for (IngestItem& item : pending) {
+    fn({/*epoch=*/0, item.seq, item.seq, std::move(item.changes)});
   }
   return report;
 }

@@ -1,9 +1,9 @@
 #ifndef SDELTA_SERVICE_WAL_H_
 #define SDELTA_SERVICE_WAL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -12,60 +12,30 @@
 
 namespace sdelta::service {
 
-/// Write-ahead log for ingest durability (DESIGN.md §9).
+/// Write-ahead log for ingest durability (DESIGN.md §9) and the
+/// service's log-shipping stream (DESIGN.md §15).
 ///
 /// File layout:
-///   header:  "SDWAL1\n" (7 bytes) + u8 version (1) + u64 first_seq
+///   header:  "SDWAL1\n" (7 bytes) + u8 version (2) + u64 first_seq
+///            + u64 epoch_floor
 ///   record:  u64 seq + u32 payload_len + u32 crc + payload
 /// where crc = crc32(seq bytes + payload_len bytes + payload), so a
 /// corrupted sequence number or length field is detected, not just a
 /// corrupted payload.
 ///
-/// The payload is a self-describing binary ChangeSet (fact-table name,
-/// fact insert/delete rows, per-dimension deltas; values carry a type
-/// tag). All integers are little-endian, written byte-by-byte so the
-/// format is host-order independent.
+/// Two record kinds share that frame: a change set (seq >= 1; a
+/// self-describing binary ChangeSet whose values carry a type tag) and a
+/// marker (seq == 0; u64 epoch + first_seq + last_seq: the writer
+/// installed change sets [first_seq, last_seq] as one batch at that
+/// epoch, which is above the header's epoch_floor). Integers are
+/// little-endian.
 ///
 /// Durability contract: Append returns only after the record is written
 /// to the stream (and fsync'd when `sync` is on), so an acknowledged
-/// change set survives a crash. Recovery replays every record with
-/// seq > the checkpoint's last applied sequence; a torn tail record
-/// (short payload or CRC mismatch) terminates replay cleanly — it was
-/// never acknowledged. Before appending to a log whose scan reported
-/// tail_truncated, the caller must truncate the file to the report's
-/// valid_bytes: bytes written after the garbage tail would be invisible
-/// to the next recovery scan.
+/// change set survives a crash; a torn tail was never acknowledged.
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib crc32) over a byte buffer.
 uint32_t Crc32(const uint8_t* data, size_t size);
-
-/// Incremental CRC-32: feed buffers into a running state seeded with
-/// 0xFFFFFFFF; the checksum is the final state ^ 0xFFFFFFFF. Framed
-/// records (WAL, ship log) checksum frame then payload without copying
-/// them into one buffer.
-uint32_t Crc32Feed(uint32_t state, const uint8_t* data, size_t size);
-
-/// The little-endian byte codec of the WAL and the ship log, written
-/// byte-by-byte so both formats are host-order independent.
-inline void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-inline void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-inline uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= uint32_t{p[i]} << (8 * i);
-  return v;
-}
-
-inline uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= uint64_t{p[i]} << (8 * i);
-  return v;
-}
 
 /// Serializes a change set to the WAL payload encoding (exposed for
 /// tests; the encoding is deterministic — identical change sets produce
@@ -79,17 +49,31 @@ std::vector<uint8_t> EncodeChangeSet(const core::ChangeSet& changes);
 core::ChangeSet DecodeChangeSet(const rel::Catalog& catalog,
                                 const std::vector<uint8_t>& payload);
 
-/// One replayed WAL record.
-struct WalRecord {
-  uint64_t seq = 0;
+/// Bytes of the log header: magic + version + first_seq + epoch_floor.
+inline constexpr size_t kWalHeaderBytes = 7 + 1 + 8 + 8;
+/// Bytes one marker takes in the log: frame + epoch + first_seq + last_seq.
+inline constexpr size_t kWalMarkerBytes = 16 + 24;
+
+/// Where a checkpoint keeps the previous log generation:
+/// `<dir>/wal.log` -> `<dir>/wal.prev`.
+std::string PreviousWalPath(const std::string& path);
+
+/// One batch of the log: the change sets [first_seq, last_seq] folded by
+/// CoalesceChanges into the change set one RunBatch applies.
+struct WalBatch {
+  uint64_t epoch = 0;  ///< the marker's epoch; 0 = past the last marker
+  uint64_t first_seq = 0;
+  uint64_t last_seq = 0;
   core::ChangeSet changes;
 };
 
 /// Result of scanning a WAL file.
 struct WalReplayReport {
   uint64_t first_seq = 1;     ///< header first_seq (next expected record)
-  uint64_t records = 0;       ///< records decoded successfully
+  uint64_t records = 0;       ///< change-set records decoded successfully
   uint64_t last_seq = 0;      ///< seq of the last good record (0 if none)
+  uint64_t max_epoch = 0;     ///< largest of the header's epoch_floor and
+                              ///< every marker's epoch
   uint64_t valid_bytes = 0;   ///< file offset just past the last intact
                               ///< record (header size if none; 0 when the
                               ///< file is missing, empty, or its header
@@ -98,27 +82,33 @@ struct WalReplayReport {
 };
 
 /// Appender. Opens (creating if absent) the log at `path`; an existing
-/// log is appended to. `first_seq` is written into the header when the
-/// file is created fresh.
+/// log is appended to. `first_seq` and `epoch_floor` are written into
+/// the header when the file is created fresh. Append, AppendMarker and
+/// Reset may be called from different threads: writes are serialized
+/// inside the writer.
 class WalWriter {
  public:
   /// `sync` = fsync after every append (durability); off for benches.
-  WalWriter(std::string path, uint64_t first_seq, bool sync);
+  WalWriter(std::string path, uint64_t first_seq, bool sync,
+            uint64_t epoch_floor = 0);
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Appends one record; returns the bytes written (record framing +
-  /// payload). Throws std::runtime_error on IO failure.
+  /// Appends one change-set record; returns the bytes written (record
+  /// framing + payload). Throws std::runtime_error on IO failure.
   size_t Append(uint64_t seq, const core::ChangeSet& changes);
 
-  /// Truncates the log: the file is replaced by an empty log whose
-  /// header says the next record is `first_seq` (checkpoint commit).
-  /// The fresh header is written to a side file and rename(2)-d into
-  /// place, so a crash mid-reset leaves either the old complete log or
-  /// the new empty one — never a header-less file.
-  void Reset(uint64_t first_seq);
+  /// Appends a marker: change sets [first_seq, last_seq] were installed
+  /// as one batch at `epoch`. Throws std::runtime_error on IO failure.
+  void AppendMarker(uint64_t epoch, uint64_t first_seq, uint64_t last_seq);
+
+  /// Starts a new, empty log generation at `first_seq` (checkpoint
+  /// commit) and keeps the current one at PreviousWalPath. The old log
+  /// is hard-linked there and a fresh header renamed over `path`, so
+  /// every crash point leaves a complete log at `path`.
+  void Reset(uint64_t first_seq, uint64_t epoch_floor);
 
   const std::string& path() const { return path_; }
 
@@ -126,27 +116,41 @@ class WalWriter {
   /// append has failed since. Append failures throw to the producer
   /// AND latch this false — a scrape can see the wedged log even if
   /// every producer swallowed its exception.
-  bool healthy() const { return fd_ >= 0 && !append_failed_; }
+  bool healthy() const;
 
  private:
-  void OpenOrCreate(uint64_t first_seq);
+  /// Opens `path` for append, laying down a header if it is empty.
+  int OpenLog(const std::string& path, uint64_t first_seq,
+              uint64_t epoch_floor) const;
+  size_t AppendFrame(uint64_t seq, const std::vector<uint8_t>& payload);
 
   std::string path_;
   bool sync_ = true;
-  int fd_ = -1;
-  std::atomic<bool> append_failed_{false};
+  mutable std::mutex mu_;
+  int fd_ = -1;                // guarded by mu_
+  bool append_failed_ = false;  // guarded by mu_
 };
 
-/// Scans the log at `path`, invoking `fn` for every intact record with
-/// seq > `after_seq` in file order. Returns the scan report. A missing
-/// or zero-length file is an empty log (0 records); a file shorter than
-/// the header is a torn creation (empty, tail_truncated = true). A torn
-/// or CRC-corrupt record stops the scan (tail_truncated = true);
-/// everything before it is replayed, and the caller must truncate the
-/// file to valid_bytes before appending to it.
+/// Scans the log at `path` and hands `fn` every batch with last_seq >
+/// `after_seq`, in sequence order — the one reader of the log, shared
+/// by recovery and log-shipping consumers (DESIGN.md §15):
+///   - each marker's change sets, coalesced exactly as the writer's
+///     RunBatch saw them and stamped with the marker's epoch;
+///   - then each record past the last marker as its own batch with
+///     epoch 0: acknowledged but not yet installed. Recovery applies
+///     these; a consumer waits for their marker.
+/// A missing or zero-length file is an empty log; a file shorter than
+/// the header is a torn creation. A torn or CRC-corrupt record or marker
+/// stops the scan (tail_truncated = true): the writer must truncate the
+/// file to valid_bytes before appending, and a consumer tailing a live
+/// log reads it as an in-flight append to retry later. Corruption that
+/// passes the CRC throws std::runtime_error: an undecodable payload, or
+/// a marker whose range is inverted, does not start right after the
+/// previous marker, runs past the last record, straddles `after_seq`,
+/// or spans two fact tables.
 WalReplayReport ReplayWal(const std::string& path, const rel::Catalog& catalog,
                           uint64_t after_seq,
-                          const std::function<void(WalRecord)>& fn);
+                          const std::function<void(WalBatch)>& fn);
 
 }  // namespace sdelta::service
 

@@ -42,8 +42,9 @@ warehouse::RetailConfig SmallConfig() {
   return config;
 }
 
-/// The change-set trajectory both the oracle and the service runs use.
-std::vector<core::ChangeSet> MakeTrajectory() {
+/// The change-set trajectory both the oracle and the service runs use:
+/// `rounds` repetitions of six mixed change sets, reseeded per round.
+std::vector<core::ChangeSet> MakeTrajectory(size_t rounds = 1) {
   rel::Catalog mirror = warehouse::MakeRetailCatalog(SmallConfig());
   std::vector<core::ChangeSet> out;
   const struct {
@@ -52,20 +53,21 @@ std::vector<core::ChangeSet> MakeTrajectory() {
     uint64_t seed;
   } specs[] = {{0, 120, 21}, {1, 90, 22},  {2, 4, 23},
                {0, 150, 24}, {1, 100, 25}, {0, 80, 26}};
-  for (const auto& spec : specs) {
+  for (size_t n = 0; n < 6 * rounds; ++n) {
+    const auto& spec = specs[n % 6];
+    const uint64_t seed = spec.seed + 10 * (n / 6);
     core::ChangeSet changes;
     switch (spec.kind) {
       case 0:
         changes =
-            warehouse::MakeUpdateGeneratingChanges(mirror, spec.size, spec.seed);
+            warehouse::MakeUpdateGeneratingChanges(mirror, spec.size, seed);
         break;
       case 1:
-        changes = warehouse::MakeInsertionGeneratingChanges(mirror, spec.size,
-                                                            spec.seed);
+        changes =
+            warehouse::MakeInsertionGeneratingChanges(mirror, spec.size, seed);
         break;
       default:
-        changes =
-            warehouse::MakeItemRecategorization(mirror, spec.size, spec.seed);
+        changes = warehouse::MakeItemRecategorization(mirror, spec.size, seed);
         break;
     }
     core::ApplyChangeSet(mirror, changes);
@@ -245,6 +247,29 @@ TEST_P(RecoveryTest, AppendsAfterTornTailRecoverySurviveNextCrash) {
   svc->Append(trajectory[5]);
   svc->Flush();
   EXPECT_EQ(SnapshotSummaries(*svc), oracle);
+}
+
+TEST_P(RecoveryTest, RecoveryKeepsWriterBatchBoundaries) {
+  // Several drains of three change sets each, stopped with no
+  // checkpoint: recovery must rerun the writer's batches (from its WAL
+  // markers), not one batch per record, so the physical row order of
+  // every view — not just its canonical contents — survives the restart.
+  const size_t threads = GetParam();
+  const std::vector<core::ChangeSet> trajectory = MakeTrajectory(/*rounds=*/2);
+  std::map<std::string, std::string> writer_rows;
+  {
+    auto svc = OpenService(threads);
+    for (size_t i = 0; i < trajectory.size(); ++i) {
+      svc->Append(trajectory[i]);
+      if (i % 3 == 2) svc->Flush();
+    }
+    EXPECT_EQ(svc->GetStats().batches, trajectory.size() / 3);
+    writer_rows = SnapshotSummaries(*svc);
+  }
+
+  auto svc = OpenService(threads);
+  EXPECT_EQ(svc->GetStats().recovered_records, trajectory.size());
+  EXPECT_EQ(SnapshotSummaries(*svc), writer_rows);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, RecoveryTest, ::testing::Values(1, 8),

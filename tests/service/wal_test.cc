@@ -2,15 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "relational/csv.h"
+#include "service/ingest.h"
 #include "warehouse/retail_schema.h"
 #include "warehouse/workload.h"
 
@@ -39,21 +42,44 @@ class WalTest : public ::testing::Test {
     fs::remove(path_);
     catalog_ = warehouse::MakeRetailCatalog(SmallConfig());
   }
-  void TearDown() override { fs::remove(path_); }
+  void TearDown() override {
+    fs::remove(path_);
+    fs::remove(PreviousWalPath(path_));
+  }
 
   core::ChangeSet MakeChanges(uint64_t seed) const {
     return warehouse::MakeUpdateGeneratingChanges(catalog_, 40, seed);
   }
 
-  std::vector<WalRecord> ReplayAll(uint64_t after_seq,
-                                   WalReplayReport* report = nullptr) const {
-    std::vector<WalRecord> records;
+  /// Every batch of the log past `after_seq`; without markers, one per
+  /// record.
+  std::vector<WalBatch> ReplayAll(uint64_t after_seq,
+                                  WalReplayReport* report = nullptr) const {
+    std::vector<WalBatch> batches;
     WalReplayReport r = ReplayWal(path_, catalog_, after_seq,
-                                  [&](WalRecord rec) {
-                                    records.push_back(std::move(rec));
+                                  [&](WalBatch batch) {
+                                    batches.push_back(std::move(batch));
                                   });
     if (report) *report = r;
-    return records;
+    return batches;
+  }
+
+  /// Records 1..`records`, then `markers` ({epoch, first_seq, last_seq}
+  /// each): the scan must reject the log with a clean error, also when
+  /// the cutoff is past every record (markers are checked regardless).
+  void ExpectMarkersRejected(
+      uint64_t records, const std::vector<std::array<uint64_t, 3>>& markers) {
+    {
+      WalWriter writer(path_, 1, false);
+      for (uint64_t seq = 1; seq <= records; ++seq) {
+        writer.Append(seq, MakeChanges(seq));
+      }
+      for (const auto& [epoch, first, last] : markers) {
+        writer.AppendMarker(epoch, first, last);
+      }
+    }
+    EXPECT_THROW(ReplayAll(0), std::runtime_error);
+    EXPECT_THROW(ReplayAll(records), std::runtime_error);
   }
 
   std::string path_;
@@ -132,10 +158,10 @@ TEST_F(WalTest, AppendAndReplay) {
     writer.Append(3, MakeChanges(3));
   }
   WalReplayReport report;
-  const std::vector<WalRecord> records = ReplayAll(0, &report);
+  const std::vector<WalBatch> records = ReplayAll(0, &report);
   ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].seq, 1u);
-  EXPECT_EQ(records[2].seq, 3u);
+  EXPECT_EQ(records[0].last_seq, 1u);
+  EXPECT_EQ(records[2].last_seq, 3u);
   EXPECT_EQ(report.records, 3u);
   EXPECT_EQ(report.last_seq, 3u);
   EXPECT_FALSE(report.tail_truncated);
@@ -148,10 +174,10 @@ TEST_F(WalTest, ReplayCutoffSkipsCheckpointedRecords) {
     for (uint64_t seq = 1; seq <= 5; ++seq) writer.Append(seq, MakeChanges(seq));
   }
   WalReplayReport report;
-  const std::vector<WalRecord> records = ReplayAll(/*after_seq=*/3, &report);
+  const std::vector<WalBatch> records = ReplayAll(/*after_seq=*/3, &report);
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].seq, 4u);
-  EXPECT_EQ(records[1].seq, 5u);
+  EXPECT_EQ(records[0].last_seq, 4u);
+  EXPECT_EQ(records[1].last_seq, 5u);
   // The scan still verified the whole log.
   EXPECT_EQ(report.records, 5u);
 }
@@ -163,10 +189,9 @@ TEST_F(WalTest, MissingFileIsEmptyLog) {
   EXPECT_FALSE(report.tail_truncated);
 }
 
-// On-disk layout constants from wal.h: 16-byte header ("SDWAL1\n" +
-// version + first_seq), 16-byte record frame (seq + len + crc).
-constexpr size_t kHeaderBytes = 16;
-constexpr size_t kFrameBytes = 16;
+// On-disk layout from wal.h: the header ("SDWAL1\n" + version +
+// first_seq + epoch_floor), then records framed by seq + len + crc.
+constexpr size_t kHeaderBytes = kWalHeaderBytes;
 
 void OverwriteByte(const std::string& path, size_t offset, uint8_t value) {
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
@@ -186,9 +211,9 @@ TEST_F(WalTest, TornTailIsTruncatedCleanly) {
   const auto full = fs::file_size(path_);
   fs::resize_file(path_, full - 7);
   WalReplayReport report;
-  const std::vector<WalRecord> records = ReplayAll(0, &report);
+  const std::vector<WalBatch> records = ReplayAll(0, &report);
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].seq, 1u);
+  EXPECT_EQ(records[0].last_seq, 1u);
   EXPECT_TRUE(report.tail_truncated);
   EXPECT_EQ(report.valid_bytes, kHeaderBytes + record1_bytes);
 
@@ -199,9 +224,9 @@ TEST_F(WalTest, TornTailIsTruncatedCleanly) {
     WalWriter writer(path_, 1, false);
     writer.Append(2, MakeChanges(12));
   }
-  const std::vector<WalRecord> again = ReplayAll(0, &report);
+  const std::vector<WalBatch> again = ReplayAll(0, &report);
   ASSERT_EQ(again.size(), 2u);
-  EXPECT_EQ(again[1].seq, 2u);
+  EXPECT_EQ(again[1].last_seq, 2u);
   EXPECT_FALSE(report.tail_truncated);
   EXPECT_EQ(ChangesCsv(again[1].changes), ChangesCsv(MakeChanges(12)));
 }
@@ -218,7 +243,7 @@ TEST_F(WalTest, CorruptLengthFieldTruncatesWithoutHugeAllocation) {
   const size_t len_off = kHeaderBytes + record1_bytes + 8;
   for (size_t i = 0; i < 4; ++i) OverwriteByte(path_, len_off + i, 0xFF);
   WalReplayReport report;
-  const std::vector<WalRecord> records = ReplayAll(0, &report);
+  const std::vector<WalBatch> records = ReplayAll(0, &report);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_TRUE(report.tail_truncated);
   EXPECT_EQ(report.valid_bytes, kHeaderBytes + record1_bytes);
@@ -235,9 +260,9 @@ TEST_F(WalTest, CorruptSeqFieldFailsCrc) {
   // so the record must not replay with a bogus seq.
   OverwriteByte(path_, kHeaderBytes + record1_bytes, 0x7F);
   WalReplayReport report;
-  const std::vector<WalRecord> records = ReplayAll(0, &report);
+  const std::vector<WalBatch> records = ReplayAll(0, &report);
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].seq, 1u);
+  EXPECT_EQ(records[0].last_seq, 1u);
   EXPECT_TRUE(report.tail_truncated);
 }
 
@@ -282,7 +307,7 @@ TEST_F(WalTest, CorruptPayloadStopsReplay) {
   f.close();
 
   WalReplayReport report;
-  const std::vector<WalRecord> records = ReplayAll(0, &report);
+  const std::vector<WalBatch> records = ReplayAll(0, &report);
   EXPECT_LT(records.size(), 3u);
   EXPECT_TRUE(report.tail_truncated);
 }
@@ -291,20 +316,156 @@ TEST_F(WalTest, ResetTruncatesAndAdvancesFirstSeq) {
   WalWriter writer(path_, 1, false);
   writer.Append(1, MakeChanges(1));
   writer.Append(2, MakeChanges(2));
-  writer.Reset(/*first_seq=*/3);
+  writer.AppendMarker(/*epoch=*/4, 1, 2);
+  writer.Reset(/*first_seq=*/3, /*epoch_floor=*/5);
   WalReplayReport report;
   EXPECT_TRUE(ReplayAll(0, &report).empty());
   EXPECT_EQ(report.first_seq, 3u);
+  EXPECT_EQ(report.max_epoch, 5u);  // the header floor
   writer.Append(3, MakeChanges(3));
-  const std::vector<WalRecord> records = ReplayAll(2, &report);
+  const std::vector<WalBatch> records = ReplayAll(2, &report);
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].seq, 3u);
+  EXPECT_EQ(records[0].last_seq, 3u);
+
+  // The previous generation is kept whole beside the new one.
+  std::vector<WalBatch> prev;
+  report = ReplayWal(PreviousWalPath(path_), catalog_, 0,
+                     [&](WalBatch batch) { prev.push_back(std::move(batch)); });
+  ASSERT_EQ(prev.size(), 1u);
+  EXPECT_EQ(prev[0].epoch, 4u);
+  EXPECT_EQ(prev[0].last_seq, 2u);
+  EXPECT_FALSE(report.tail_truncated);
 }
 
 TEST_F(WalTest, Crc32KnownVector) {
   // The IEEE CRC-32 of "123456789" is 0xCBF43926.
   const char* s = "123456789";
   EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(s), 9), 0xCBF43926u);
+}
+
+TEST_F(WalTest, BadHeaderIsRejected) {
+  WalWriter(path_, 1, false).Append(1, MakeChanges(1));
+  OverwriteByte(path_, 7, 1);  // version 1 had no epoch floor
+  EXPECT_THROW(ReplayAll(0), std::runtime_error);
+  OverwriteByte(path_, 7, 2);
+  OverwriteByte(path_, 0, 'X');  // magic
+  EXPECT_THROW(ReplayAll(0), std::runtime_error);
+}
+
+TEST_F(WalTest, MarkerRoundTripCoalescesItsRecords) {
+  {
+    WalWriter writer(path_, 1, false, /*epoch_floor=*/2);
+    for (uint64_t seq = 1; seq <= 3; ++seq) writer.Append(seq, MakeChanges(seq));
+    writer.AppendMarker(/*epoch=*/7, 1, 3);
+    writer.Append(4, MakeChanges(4));
+  }
+  WalReplayReport report;
+  const std::vector<WalBatch> batches = ReplayAll(0, &report);
+  ASSERT_EQ(batches.size(), 2u);
+  EXPECT_EQ(batches[0].epoch, 7u);
+  EXPECT_EQ(batches[0].first_seq, 1u);
+  EXPECT_EQ(batches[0].last_seq, 3u);
+  std::vector<IngestItem> items(3);
+  for (uint64_t i = 0; i < 3; ++i) items[i].changes = MakeChanges(i + 1);
+  EXPECT_EQ(ChangesCsv(batches[0].changes),
+            ChangesCsv(CoalesceChanges(std::move(items))));
+  // Past the last marker: acknowledged, not installed, one per record.
+  EXPECT_EQ(batches[1].epoch, 0u);
+  EXPECT_EQ(batches[1].first_seq, 4u);
+  EXPECT_EQ(ChangesCsv(batches[1].changes), ChangesCsv(MakeChanges(4)));
+  EXPECT_EQ(report.records, 4u);
+  EXPECT_EQ(report.max_epoch, 7u);
+  EXPECT_FALSE(report.tail_truncated);
+
+  // A reader that applied through seq 3 dedups the marked batch; one
+  // that stopped inside it cannot resume from this log.
+  ASSERT_EQ(ReplayAll(3).size(), 1u);
+  EXPECT_THROW(ReplayAll(2), std::runtime_error);
+}
+
+TEST_F(WalTest, InvertedMarkerRangeIsRejected) {
+  ExpectMarkersRejected(2, {{1, 2, 1}});
+}
+
+TEST_F(WalTest, OverlappingMarkerIsRejected) {
+  ExpectMarkersRejected(3, {{1, 1, 2}, {2, 2, 3}});
+}
+
+TEST_F(WalTest, MarkerPastTheLastRecordIsRejected) {
+  ExpectMarkersRejected(1, {{1, 1, 2}});
+}
+
+TEST_F(WalTest, MarkerSkippingRecordsIsRejected) {
+  ExpectMarkersRejected(2, {{1, 2, 2}});  // seq 1 is never marked
+}
+
+TEST_F(WalTest, TruncatedMarkerIsTornTail) {
+  {
+    WalWriter writer(path_, 1, false);
+    writer.Append(1, MakeChanges(1));
+    writer.Append(2, MakeChanges(2));
+    writer.AppendMarker(3, 1, 2);
+  }
+  const size_t marker_at = fs::file_size(path_) - kWalMarkerBytes;
+  for (size_t cut = marker_at + kWalMarkerBytes - 1; cut > marker_at; --cut) {
+    fs::resize_file(path_, cut);
+    WalReplayReport report;
+    const std::vector<WalBatch> batches = ReplayAll(0, &report);
+    EXPECT_TRUE(report.tail_truncated) << "cut at " << cut;
+    EXPECT_EQ(report.valid_bytes, marker_at) << "cut at " << cut;
+    // The records survive, unmarked: recovery replays them one by one.
+    ASSERT_EQ(batches.size(), 2u) << "cut at " << cut;
+    EXPECT_EQ(batches[0].epoch + batches[1].epoch, 0u) << "cut at " << cut;
+  }
+}
+
+TEST_F(WalTest, EveryFlippedMarkerByteIsCaught) {
+  // The CRC covers the marker's seq, length, epoch and range: flipping
+  // any byte must read as a torn tail, never as a different marker.
+  {
+    WalWriter writer(path_, 1, false);
+    writer.Append(1, MakeChanges(1));
+    writer.AppendMarker(9, 1, 1);
+  }
+  const size_t size = fs::file_size(path_);
+  std::ifstream in(path_, std::ios::binary);
+  const std::vector<uint8_t> clean{std::istreambuf_iterator<char>(in), {}};
+  for (size_t i = size - kWalMarkerBytes; i < size; ++i) {
+    OverwriteByte(path_, i, clean[i] ^ 0x01);
+    WalReplayReport report;
+    const std::vector<WalBatch> batches = ReplayAll(0, &report);
+    EXPECT_TRUE(report.tail_truncated) << "flipped byte " << i;
+    ASSERT_EQ(batches.size(), 1u) << "flipped byte " << i;
+    EXPECT_EQ(batches[0].epoch, 0u) << "flipped byte " << i;
+    OverwriteByte(path_, i, clean[i]);
+  }
+}
+
+TEST_F(WalTest, LiveTailTreatsInFlightAppendAsNotYet) {
+  // A consumer tailing the log sees the writer's appends byte by byte.
+  // Whatever prefix it reads, the installed batches before it decode,
+  // and a half-written record or marker is "not yet": no error, and no
+  // marked batch for it until the marker is whole.
+  size_t first_batch_end = kHeaderBytes + kWalMarkerBytes;
+  {
+    WalWriter writer(path_, 1, false);
+    first_batch_end += writer.Append(1, MakeChanges(1));
+    first_batch_end += writer.Append(2, MakeChanges(2));
+    writer.AppendMarker(5, 1, 2);
+    writer.Append(3, MakeChanges(3));
+    writer.AppendMarker(6, 3, 3);
+  }
+  const size_t full = fs::file_size(path_);
+  for (size_t cut = full; cut >= first_batch_end; --cut) {
+    fs::resize_file(path_, cut);
+    std::vector<WalBatch> installed;
+    ASSERT_NO_THROW(ReplayWal(path_, catalog_, 0, [&](WalBatch batch) {
+      if (batch.epoch != 0) installed.push_back(std::move(batch));
+    })) << "cut at " << cut;
+    ASSERT_EQ(installed.size(), cut == full ? 2u : 1u) << "cut at " << cut;
+    EXPECT_EQ(installed[0].epoch, 5u);
+    EXPECT_EQ(installed[0].last_seq, 2u);
+  }
 }
 
 }  // namespace
