@@ -40,6 +40,16 @@ inline core::ChangeSet MakeChanges(const rel::Catalog& catalog,
              : warehouse::MakeInsertionGeneratingChanges(catalog, n, seed);
 }
 
+/// A warehouse over the paper-scale retail catalog with the four
+/// Figure-1 summary tables materialized.
+inline std::unique_ptr<warehouse::Warehouse> MakePaperWarehouse(
+    size_t pos_rows, warehouse::Warehouse::Options options = {}) {
+  auto wh = std::make_unique<warehouse::Warehouse>(
+      warehouse::MakeRetailCatalog(PaperConfig(pos_rows)), options);
+  wh->DefineSummaryTables(warehouse::RetailSummaryTables());
+  return wh;
+}
+
 /// Lazily built, cached warehouses keyed by (pos size, options hash) so
 /// a sweep over change sizes shares one instance. Building a 500k-row
 /// warehouse with four materialized summary tables takes seconds; the
@@ -52,10 +62,7 @@ class WarehouseCache {
     const std::string key = std::to_string(pos_rows) + "/" + tag;
     auto it = cache_.find(key);
     if (it == cache_.end()) {
-      auto wh = std::make_unique<warehouse::Warehouse>(
-          warehouse::MakeRetailCatalog(PaperConfig(pos_rows)), options);
-      wh->DefineSummaryTables(warehouse::RetailSummaryTables());
-      it = cache_.emplace(key, std::move(wh)).first;
+      it = cache_.emplace(key, MakePaperWarehouse(pos_rows, options)).first;
     }
     return *it->second;
   }

@@ -89,8 +89,8 @@ inline void RegisterFig9(const std::string& panel, bool sweep_changes,
     b->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(2);
   };
 
-  // The serial baselines share the "ro"/"mut" cache entries with the
-  // t=1 engine series, so both must request the same options.
+  // The serial baselines share the "ro" cache entry with the t=1
+  // Propagate series, so both must request the same options.
   warehouse::Warehouse::Options serial_options;
   serial_options.num_threads = 1;
 
@@ -99,7 +99,6 @@ inline void RegisterFig9(const std::string& panel, bool sweep_changes,
     wh_options.num_threads = threads;
     const std::string suffix = threads == 1 ? "" : "/t" + std::to_string(threads);
     const std::string ro_tag = "ro" + suffix;
-    const std::string mut_tag = "mut" + suffix;
 
     configure(benchmark::RegisterBenchmark(
         ("Propagate" + suffix).c_str(), [=](benchmark::State& state) {
@@ -125,8 +124,12 @@ inline void RegisterFig9(const std::string& panel, bool sweep_changes,
 
     configure(benchmark::RegisterBenchmark(
         ("SummaryDeltaMaint" + suffix).c_str(), [=](benchmark::State& state) {
-          warehouse::Warehouse& wh = WarehouseCache::Instance().Get(
-              pos_of(state.range(0)), wh_options, mut_tag);
+          // Each cell mutates a warehouse of its own, freed when the cell
+          // ends, so its gated counters depend only on (|pos|, |changes|,
+          // seed): not on which cells ran before, nor on the thread count.
+          const std::unique_ptr<warehouse::Warehouse> owned =
+              MakePaperWarehouse(pos_of(state.range(0)), wh_options);
+          warehouse::Warehouse& wh = *owned;
           uint64_t seed = 1000;
           double total = 0;
           double refresh_total = 0;

@@ -82,7 +82,7 @@ void PrintHelp() {
       "          explain [analyze] <kind> <n> [dot|json] |\n"
       "          service <stats|flush|checkpoint|slo|events> | metrics |\n"
       "          history [metric] | profile [collapsed] | anomalies |\n"
-      "          mqo | dicts | save <dir> | help | quit\n");
+      "          dicts | save <dir> | help | quit\n");
 }
 
 core::ChangeSet MakeChanges(const rel::Catalog& catalog,
@@ -435,15 +435,6 @@ int main(int argc, char** argv) {
         PrintProfile(*svc, format);
       } else if (upper == "ANOMALIES") {
         PrintAnomalies(*svc);
-      } else if (upper == "MQO") {
-        if (svc->GetStats().batches == 0) {
-          std::printf("no batch yet; run `batch <kind> <n>` first\n");
-        } else {
-          const warehouse::BatchReport report = svc->LastReport();
-          std::printf("%s", lattice::FormatMqoReport(report.mqo,
-                                                     report.shared_execs)
-                                .c_str());
-        }
       } else if (upper == "METRICS") {
         std::printf("%s", obs::ExportPrometheus(metrics).c_str());
       } else if (upper == "DICTS") {

@@ -31,12 +31,6 @@ struct PropagateOptions {
   /// propagate fan-out never rehashes mid-batch. 0 = no hint. Capacity
   /// only — results are identical with or without it.
   size_t delta_size_hint = 0;
-  /// Multi-query optimization across the batch's maintenance plans
-  /// (lattice/mqo.h): detect join subtrees shared by >= 2 plans,
-  /// materialize each once per batch, and rewrite the consuming steps to
-  /// scan the shared result. Summary-delta bytes are identical either
-  /// way; off reproduces the pre-MQO execution exactly.
-  bool mqo_enabled = true;
 };
 
 struct PropagateStats {

@@ -20,17 +20,6 @@ std::string NumberTo(double v) {
 
 std::string NumberTo(uint64_t v) { return std::to_string(v); }
 
-/// Fixed-width lowercase hex, for fingerprint display.
-std::string HexTo(uint64_t v) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[size_t(i)] = kDigits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-
 /// DOT double-quoted string escaping.
 std::string DotQuote(const std::string& s) {
   std::string out = "\"";
@@ -103,13 +92,6 @@ std::string ExplainResult::ToText(const ExplainRenderOptions& options) const {
     if (step.source == "base") {
       out += "base changes";
       if (step.edge_disabled) out += " (edge disabled by dimension delta)";
-    } else if (step.shared_scan.has_value()) {
-      out += "SharedScan(#" + NumberTo(uint64_t(*step.shared_scan)) + ")";
-      if (!step.joins.empty()) {
-        out += " [join:";
-        for (const std::string& j : step.joins) out += " " + j;
-        out += "]";
-      }
     } else {
       out += "sd_" + step.source;
       if (!step.joins.empty()) {
@@ -123,25 +105,6 @@ std::string ExplainResult::ToText(const ExplainRenderOptions& options) const {
            " input=" + NumberTo(step.estimated_input_rows) +
            " delta=" + NumberTo(step.estimated_delta_rows) +
            " cost=" + NumberTo(step.estimated_cost) + "\n";
-    // The materializing step carries the shared(#k, refs=N) annotations.
-    for (const ExplainShared& sh : shared) {
-      if (sh.producer != step.view) continue;
-      out += detail + "shared(#" + NumberTo(uint64_t(sh.id)) +
-             ", refs=" + NumberTo(uint64_t(sh.refs)) + ") = " +
-             sh.description + " est rows=" + NumberTo(sh.estimated_rows) +
-             "\n";
-      if (sh.has_actuals) {
-        out += detail + "shared(#" + NumberTo(uint64_t(sh.id)) +
-               ") act executions=" + NumberTo(uint64_t(sh.executions)) +
-               " input=" + NumberTo(uint64_t(sh.input_rows)) +
-               " rows=" + NumberTo(uint64_t(sh.rows)) +
-               " bytes=" + NumberTo(uint64_t(sh.bytes));
-        if (options.include_timings) {
-          out += " seconds=" + NumberTo(sh.seconds);
-        }
-        out += "\n";
-      }
-    }
     if (step.has_actuals) {
       out += detail + "act input=" + NumberTo(uint64_t(step.actual_input_rows)) +
              " delta=" + NumberTo(uint64_t(step.actual_delta_rows));
@@ -187,32 +150,11 @@ std::string ExplainResult::ToDot(const ExplainRenderOptions& options) const {
     }
     out += "  " + DotQuote(step.view) + " [label=\"" + label + "\"];\n";
   }
-  for (const ExplainShared& sh : shared) {
-    std::string label = "shared #" + NumberTo(uint64_t(sh.id)) +
-                        "\\nrefs=" + NumberTo(uint64_t(sh.refs)) + "\\n" +
-                        sh.description;
-    if (sh.has_actuals) {
-      label += "\\nact rows=" + NumberTo(uint64_t(sh.rows)) +
-               " executions=" + NumberTo(uint64_t(sh.executions));
-    }
-    out += "  " + DotQuote("shared#" + NumberTo(uint64_t(sh.id))) +
-           " [shape=ellipse, label=\"" + label + "\"];\n";
-  }
   for (const ExplainStep& step : steps) {
     if (step.source == "base") {
       out += "  base -> " + DotQuote(step.view);
       if (step.edge_disabled) {
         out += " [style=dashed, label=\"edge disabled\"]";
-      }
-      out += ";\n";
-    } else if (step.shared_scan.has_value()) {
-      out += "  " +
-             DotQuote("shared#" + NumberTo(uint64_t(*step.shared_scan))) +
-             " -> " + DotQuote(step.view);
-      if (!step.joins.empty()) {
-        std::string label = "join:";
-        for (const std::string& j : step.joins) label += " " + j;
-        out += " [label=\"" + label + "\"]";
       }
       out += ";\n";
     } else {
@@ -223,16 +165,6 @@ std::string ExplainResult::ToDot(const ExplainRenderOptions& options) const {
         out += " [label=\"" + label + "\"]";
       }
       out += ";\n";
-    }
-  }
-  for (const ExplainShared& sh : shared) {
-    const std::string node = "shared#" + NumberTo(uint64_t(sh.id));
-    if (sh.scans_shared.has_value()) {
-      out += "  " +
-             DotQuote("shared#" + NumberTo(uint64_t(*sh.scans_shared))) +
-             " -> " + DotQuote(node) + ";\n";
-    } else {
-      out += "  " + DotQuote(sh.source) + " -> " + DotQuote(node) + ";\n";
     }
   }
   out += "}\n";
@@ -252,9 +184,6 @@ obs::Json ExplainResult::ToJson(const ExplainRenderOptions& options) const {
     obs::Json joins = obs::Json::Array();
     for (const std::string& j : step.joins) joins.Append(obs::Json::Str(j));
     s.Set("joins", std::move(joins));
-    if (step.shared_scan.has_value()) {
-      s.Set("shared_scan", obs::Json::Int(int64_t(*step.shared_scan)));
-    }
     s.Set("edge_disabled", obs::Json::Bool(step.edge_disabled));
     s.Set("wave", obs::Json::Int(int64_t(step.wave)));
     obs::Json est = obs::Json::Object();
@@ -310,57 +239,13 @@ obs::Json ExplainResult::ToJson(const ExplainRenderOptions& options) const {
     step_array.Append(std::move(s));
   }
   doc.Set("steps", std::move(step_array));
-  if (!shared.empty()) {
-    obs::Json shared_array = obs::Json::Array();
-    for (const ExplainShared& sh : shared) {
-      obs::Json s = obs::Json::Object();
-      s.Set("id", obs::Json::Int(int64_t(sh.id)));
-      s.Set("description", obs::Json::Str(sh.description));
-      s.Set("source", obs::Json::Str(sh.source));
-      if (sh.scans_shared.has_value()) {
-        s.Set("scans_shared", obs::Json::Int(int64_t(*sh.scans_shared)));
-      }
-      s.Set("refs", obs::Json::Int(int64_t(sh.refs)));
-      s.Set("wave", obs::Json::Int(int64_t(sh.wave)));
-      s.Set("preaggregated", obs::Json::Bool(sh.preaggregated));
-      if (sh.preaggregated) {
-        obs::Json keys = obs::Json::Array();
-        for (const std::string& k : sh.preagg_keys) {
-          keys.Append(obs::Json::Str(k));
-        }
-        s.Set("preagg_keys", std::move(keys));
-      }
-      s.Set("fingerprint", obs::Json::Str(HexTo(sh.fingerprint)));
-      s.Set("estimated_rows", obs::Json::Double(sh.estimated_rows));
-      s.Set("producer", obs::Json::Str(sh.producer));
-      obs::Json consumers = obs::Json::Array();
-      for (const std::string& c : sh.consumers) {
-        consumers.Append(obs::Json::Str(c));
-      }
-      s.Set("consumers", std::move(consumers));
-      if (sh.has_actuals) {
-        obs::Json act = obs::Json::Object();
-        act.Set("executions", obs::Json::Int(int64_t(sh.executions)));
-        act.Set("input_rows", obs::Json::Int(int64_t(sh.input_rows)));
-        act.Set("rows", obs::Json::Int(int64_t(sh.rows)));
-        act.Set("bytes", obs::Json::Int(int64_t(sh.bytes)));
-        if (options.include_timings) {
-          act.Set("seconds", obs::Json::Double(sh.seconds));
-        }
-        s.Set("actual", std::move(act));
-      }
-      shared_array.Append(std::move(s));
-    }
-    doc.Set("shared", std::move(shared_array));
-  }
   return doc;
 }
 
 ExplainResult BuildExplain(const rel::Catalog& catalog,
                            const VLattice& lattice,
                            const MaintenancePlan& plan,
-                           const core::ChangeSet& changes,
-                           const MqoPlan* mqo) {
+                           const core::ChangeSet& changes) {
   ExplainResult result;
   bool any_edge = false;
   for (const PlanStep& step : plan.steps) {
@@ -428,48 +313,6 @@ ExplainResult BuildExplain(const rel::Catalog& catalog,
     wave_of[step.view] = ex.wave;
     result.steps.push_back(std::move(ex));
   }
-
-  if (mqo != nullptr && mqo->any_sharing()) {
-    for (size_t slot = 0;
-         slot < mqo->programs.size() && slot < result.steps.size(); ++slot) {
-      const MqoProgram& prog = mqo->programs[slot];
-      if (!prog.rewritten || !prog.shared_input.has_value()) continue;
-      ExplainStep& step = result.steps[slot];
-      step.shared_scan = prog.shared_input;
-      step.joins.clear();
-      for (const MqoOp& op : prog.ops) {
-        if (op.kind == MqoOp::Kind::kJoin) {
-          step.joins.push_back(op.join.dim_table);
-        }
-      }
-      step.estimated_input_rows =
-          mqo->shared[*prog.shared_input].estimated_rows;
-      step.estimated_delta_rows =
-          std::min(step.estimated_groups, step.estimated_input_rows);
-    }
-    for (const MqoSharedSubplan& sp : mqo->shared) {
-      ExplainShared sh;
-      sh.id = sp.id;
-      sh.description = sp.Description(lattice);
-      sh.source = lattice.views[sp.parent_view].name();
-      sh.scans_shared = sp.shared_input;
-      sh.refs = sp.refs;
-      sh.wave = sp.wave;
-      sh.preaggregated = sp.preaggregated;
-      sh.preagg_keys = sp.preagg_keys;
-      sh.fingerprint = sp.fingerprint;
-      sh.estimated_rows = sp.estimated_rows;
-      if (sp.producer_slot < result.steps.size()) {
-        sh.producer = result.steps[sp.producer_slot].view;
-      }
-      for (size_t c : sp.consumer_slots) {
-        if (c < result.steps.size()) {
-          sh.consumers.push_back(result.steps[c].view);
-        }
-      }
-      result.shared.push_back(std::move(sh));
-    }
-  }
   return result;
 }
 
@@ -486,24 +329,6 @@ void AttachActuals(const std::vector<StepExecution>& step_execs,
     step.ops = ex.ops;
   }
   explain->analyzed = true;
-}
-
-void AttachActuals(const std::vector<StepExecution>& step_execs,
-                   const std::vector<SharedExecution>& shared_execs,
-                   ExplainResult* explain) {
-  AttachActuals(step_execs, explain);
-  for (const SharedExecution& sx : shared_execs) {
-    for (ExplainShared& sh : explain->shared) {
-      if (sh.id != sx.id) continue;
-      sh.has_actuals = true;
-      sh.executions = sx.executions;
-      sh.input_rows = sx.input_rows;
-      sh.rows = sx.rows;
-      sh.bytes = sx.bytes;
-      sh.seconds = sx.seconds;
-      sh.ops = sx.ops;
-    }
-  }
 }
 
 }  // namespace sdelta::lattice

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/refresh.h"
-#include "lattice/mqo.h"
 #include "lattice/plan.h"
 #include "obs/json.h"
 
@@ -23,12 +22,8 @@ struct ExplainStep {
   /// "base" for compute-from-base steps, else the D-lattice parent view
   /// whose summary-delta this step derives from.
   std::string source;
-  /// Dimension tables the step itself joins: the edge's joins, minus —
-  /// for SharedScan consumers — the joins covered by the shared prefix.
+  /// Dimension tables the step itself joins (the edge's joins).
   std::vector<std::string> joins;
-  /// The step scans shared subplan #k instead of re-running the shared
-  /// joins (rendered as `SharedScan(#k)`).
-  std::optional<size_t> shared_scan;
   /// The plan chose an edge but a dimension-table delta disabled it for
   /// this change set; the step computes from base instead.
   bool edge_disabled = false;
@@ -56,39 +51,6 @@ struct ExplainStep {
   core::RefreshStats refresh;
 };
 
-/// One shared subplan of the batch's MQO plan, annotated onto the tree:
-/// `shared(#k, refs=N)` renders on the materializing (producer) step,
-/// `SharedScan(#k)` on every consumer. Like steps, the estimate side is
-/// plan-time; actuals come from SharedExecution records, and the MQO
-/// contract is executions == 1 per batch.
-struct ExplainShared {
-  size_t id = 0;
-  /// Deterministic label, e.g. "sd_SID_sales join stores".
-  std::string description;
-  /// Parent view whose summary-delta the subplan scans; nested subplans
-  /// scan shared subplan `scans_shared` instead.
-  std::string source;
-  std::optional<size_t> scans_shared;
-  size_t refs = 0;
-  size_t wave = 0;
-  bool preaggregated = false;
-  std::vector<std::string> preagg_keys;
-  uint64_t fingerprint = 0;
-  double estimated_rows = 0;
-  /// First consumer step (the one the shared(#k) annotation hangs off).
-  std::string producer;
-  std::vector<std::string> consumers;
-
-  bool has_actuals = false;
-  size_t executions = 0;
-  size_t input_rows = 0;
-  size_t rows = 0;
-  size_t bytes = 0;
-  /// Wall time (non-deterministic; rendered only with include_timings).
-  double seconds = 0;
-  exec::OperatorStats ops;
-};
-
 struct ExplainRenderOptions {
   /// Include wall-clock fields (step seconds, per-operator seconds).
   /// Off by default so default renderings are byte-identical across
@@ -108,9 +70,6 @@ struct ExplainResult {
   std::string plan_source = "lattice";
   /// Steps in plan (topological) order.
   std::vector<ExplainStep> steps;
-  /// Shared subplans of the batch's MQO plan, in id order (empty when
-  /// MQO is off or the batch has no sharing).
-  std::vector<ExplainShared> shared;
 
   /// Indented tree, one step per node, children under their D-lattice
   /// source view.
@@ -127,25 +86,16 @@ struct ExplainResult {
 
 /// Builds the estimate side of the tree from a chosen plan and a change
 /// set (no execution): per-step source/joins after dimension-delta edge
-/// gating, wave numbers, and estimated input/delta cardinalities. When
-/// `mqo` is given (the same BuildMqoPlan output PropagateAll executes),
-/// shared subplans and per-step SharedScan annotations are attached.
+/// gating, wave numbers, and estimated input/delta cardinalities.
 ExplainResult BuildExplain(const rel::Catalog& catalog,
                            const VLattice& lattice,
                            const MaintenancePlan& plan,
-                           const core::ChangeSet& changes,
-                           const MqoPlan* mqo = nullptr);
+                           const core::ChangeSet& changes);
 
 /// Copies a propagate run's StepExecution records (parallel to the plan
 /// steps the explain was built from) onto the matching steps and marks
 /// the result analyzed.
 void AttachActuals(const std::vector<StepExecution>& step_execs,
-                   ExplainResult* explain);
-
-/// As above, additionally attaching SharedExecution actuals (matched by
-/// shared-subplan id) onto the explain's shared entries.
-void AttachActuals(const std::vector<StepExecution>& step_execs,
-                   const std::vector<SharedExecution>& shared_execs,
                    ExplainResult* explain);
 
 }  // namespace sdelta::lattice

@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "core/view_def.h"
-#include "lattice/mqo.h"
 #include "relational/group_key.h"
 #include "relational/operators.h"
 
@@ -232,34 +231,6 @@ LatticePropagateResult PropagateAll(const rel::Catalog& catalog,
     waves[w].push_back(slot);
   }
 
-  // Multi-query optimization: detect join subtrees shared by >= 2 plans
-  // and materialize each once per batch (lattice/mqo.h). The MqoPlan is
-  // a pure function of (catalog, lattice, plan, changes), so programs,
-  // shared subplans, and every mqo.* counter are identical across
-  // thread counts. Off (or with no sharing) every step runs the legacy
-  // path below untouched.
-  MqoPlan mqo;
-  if (opts.mqo_enabled) {
-    mqo = BuildMqoPlan(catalog, lattice, plan, changes);
-    result.mqo = mqo.stats;
-    for (size_t slot = 0; slot < plan.steps.size(); ++slot) {
-      if (mqo.programs[slot].rewritten) {
-        result.step_execs[slot].shared_scan = mqo.programs[slot].shared_input;
-      }
-    }
-  }
-  // The per-batch shared-result cache, keyed by subplan id (ids order
-  // fingerprint buckets deterministically). Entries live exactly as
-  // long as this PropagateAll call.
-  std::vector<rel::Table> shared_tables(mqo.shared.size());
-  std::vector<uint64_t> shared_span(mqo.shared.size(), 0);
-  result.shared_execs.resize(mqo.shared.size());
-
-  // Runs one plan step (on whichever thread the wave scheduler picked)
-  // and records its summary-delta, span id, and execution record into
-  // per-step slots. The explicit parent span mirrors the D-lattice:
-  // derived steps parent on their source view's span, base steps on the
-  // phase.
   // Saturating double -> size_t for the §5.5 estimates feeding hash
   // pre-sizing (an estimate can be huge or non-finite; the hint is
   // additionally capped so a wild estimate cannot over-allocate).
@@ -272,73 +243,20 @@ LatticePropagateResult PropagateAll(const rel::Catalog& catalog,
     return static_cast<size_t>(estimated_groups);
   };
 
-  // Materializes shared subplan `id` (its input — a parent delta or a
-  // shallower shared result — is in place by the wave/lazy ordering).
-  auto run_shared = [&](size_t id) {
-    const MqoSharedSubplan& sp = mqo.shared[id];
-    SharedExecution& ex = result.shared_execs[id];
-    const auto start = std::chrono::steady_clock::now();
-    const rel::Table& input = sp.shared_input.has_value()
-                                  ? shared_tables[*sp.shared_input]
-                                  : result.deltas[sp.parent_view];
-    const uint64_t parent_span = sp.shared_input.has_value()
-                                     ? shared_span[*sp.shared_input]
-                                     : view_span[sp.parent_view];
-    obs::TraceSpan span(opts.tracer, "mqo.shared#" + std::to_string(id),
-                        parent_span);
-    shared_tables[id] = ExecuteMqoChain(catalog, sp.ops, input, opts.pool,
-                                        &ex.ops,
-                                        size_hint_of(sp.estimated_rows));
-    ex.id = id;
-    ex.description = sp.Description(lattice);
-    ex.parent_view = lattice.views[sp.parent_view].name();
-    ex.scans_shared = sp.shared_input;
-    ex.refs = sp.refs;
-    ex.executions += 1;
-    ex.input_rows = input.NumRows();
-    ex.rows = shared_tables[id].NumRows();
-    ex.bytes = shared_tables[id].ApproxBytes();
-    span.Attr("refs", static_cast<uint64_t>(sp.refs));
-    span.Attr("rows", static_cast<uint64_t>(ex.rows));
-    shared_span[id] = span.id();
-    ex.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-  };
-
+  // Runs one plan step (on whichever thread the wave scheduler picked)
+  // and records its summary-delta, span id, and execution record into
+  // per-step slots. The explicit parent span mirrors the D-lattice:
+  // derived steps parent on their source view's span, base steps on the
+  // phase.
   auto run_step = [&](size_t slot, core::PropagateStats* stats) {
     const PlanStep& step = plan.steps[slot];
     StepExecution& ex = result.step_execs[slot];
     const auto start = std::chrono::steady_clock::now();
     const uint64_t parent_span =
-        ex.shared_scan.has_value()
-            ? shared_span[*ex.shared_scan]
-            : (ex.via_edge ? view_span[lattice.edges[*step.edge].parent]
-                           : phase.id());
+        ex.via_edge ? view_span[lattice.edges[*step.edge].parent] : phase.id();
     obs::TraceSpan span(opts.tracer, lattice.views[step.view].name(),
                         parent_span);
-    if (ex.shared_scan.has_value()) {
-      // SharedScan: the dimension joins this step shares with its
-      // siblings already ran once; apply only the residual operators to
-      // the cached result. Byte-identical to the ApplyDerivation path —
-      // the shared prefix is the same computation, modulo columns no
-      // reader references.
-      const VLatticeEdge& edge = lattice.edges[*step.edge];
-      const rel::Table& shared = shared_tables[*ex.shared_scan];
-      const size_t in_rows = shared.NumRows();
-      size_t hint = size_hint_of(step.estimated_groups);
-      if (hint == 0 || hint > in_rows) hint = in_rows;
-      result.deltas[step.view] =
-          ExecuteMqoChain(catalog, mqo.programs[slot].ops, shared, opts.pool,
-                          &stats->ops, hint);
-      result.deltas[step.view].SetName("sd_" +
-                                       lattice.views[step.view].name());
-      stats->prepared_tuples = in_rows;
-      stats->delta_groups = result.deltas[step.view].NumRows();
-      if (opts.metrics != nullptr) stats->EmitTo(*opts.metrics);
-      span.Attr("source", lattice.views[edge.parent].name());
-      span.Attr("shared", static_cast<uint64_t>(*ex.shared_scan));
-    } else if (ex.via_edge) {
+    if (ex.via_edge) {
       const VLatticeEdge& edge = lattice.edges[*step.edge];
       // The child can have at most as many delta groups as the parent
       // has delta rows, so take the tighter of that bound and the plan
@@ -373,23 +291,8 @@ LatticePropagateResult PropagateAll(const rel::Catalog& catalog,
 
   std::vector<core::PropagateStats> step_stats(plan.steps.size());
   if (opts.pool == nullptr) {
-    // Serial path: run steps in plan order, materializing each shared
-    // subplan (and, recursively, the shallower subplan it builds on)
-    // just before its first consumer. Exactly one execution per
-    // subplan; with MQO off or no sharing this is the legacy loop.
-    std::vector<bool> shared_done(mqo.shared.size(), false);
-    auto ensure_shared = [&](auto&& self, size_t id) -> void {
-      if (shared_done[id]) return;
-      if (mqo.shared[id].shared_input.has_value()) {
-        self(self, *mqo.shared[id].shared_input);
-      }
-      run_shared(id);
-      shared_done[id] = true;
-    };
+    // Serial path: run steps in plan order.
     for (size_t slot = 0; slot < plan.steps.size(); ++slot) {
-      if (result.step_execs[slot].shared_scan.has_value()) {
-        ensure_shared(ensure_shared, *result.step_execs[slot].shared_scan);
-      }
       run_step(slot, &step_stats[slot]);
     }
   } else {
@@ -398,28 +301,8 @@ LatticePropagateResult PropagateAll(const rel::Catalog& catalog,
     // parent. Steps within a wave are independent by construction, so
     // each wave is one fork/join over the pool; the wave barrier
     // guarantees every parent's summary-delta (and its span id) is in
-    // place before any dependent dispatches. Shared subplans of a wave
-    // run as a pre-phase (one fork/join per nesting level) so every
-    // cached result exists before the wave's consumer steps dispatch.
+    // place before any dependent dispatches.
     for (size_t w = 0; w < waves.size(); ++w) {
-      size_t max_level = 0;
-      bool any_shared = false;
-      for (const MqoSharedSubplan& sp : mqo.shared) {
-        if (sp.wave != w) continue;
-        any_shared = true;
-        max_level = std::max(max_level, sp.level);
-      }
-      if (any_shared) {
-        for (size_t level = 0; level <= max_level; ++level) {
-          exec::TaskGroup shared_group(opts.pool);
-          for (const MqoSharedSubplan& sp : mqo.shared) {
-            if (sp.wave != w || sp.level != level) continue;
-            const size_t id = sp.id;
-            shared_group.Spawn([&, id] { run_shared(id); });
-          }
-          shared_group.Wait();
-        }
-      }
       exec::TaskGroup group(opts.pool);
       for (size_t slot : waves[w]) {
         group.Spawn([&, slot] { run_step(slot, &step_stats[slot]); });
@@ -432,39 +315,11 @@ LatticePropagateResult PropagateAll(const rel::Catalog& catalog,
       }
     }
   }
-  // Fold stats deterministically: shared-subplan operator accounting in
-  // id order first, then per-step stats in plan order.
-  for (const SharedExecution& sx : result.shared_execs) {
-    result.totals.ops.MergeFrom(sx.ops);
-  }
+  // Fold stats deterministically, in plan order.
   for (const core::PropagateStats& st : step_stats) {
     result.totals.prepared_tuples += st.prepared_tuples;
     result.totals.delta_groups += st.delta_groups;
     result.totals.ops.MergeFrom(st.ops);
-  }
-  // MQO accounting: rows consumers read from the cache instead of
-  // recomputing (rows x (refs - 1) per subplan) and the cache's total
-  // footprint. Emitted even when zero so the mqo.* series exist
-  // whenever the layer is on.
-  for (const SharedExecution& sx : result.shared_execs) {
-    result.mqo.rows_reused += sx.rows * (sx.refs - 1);
-    result.mqo.bytes_cached += sx.bytes;
-  }
-  if (opts.metrics != nullptr && opts.mqo_enabled) {
-    opts.metrics->Add("mqo.subplans_detected", result.mqo.subplans_detected);
-    opts.metrics->Add("mqo.subplans_materialized",
-                      result.mqo.subplans_materialized);
-    opts.metrics->Add("mqo.rows_reused", result.mqo.rows_reused);
-    opts.metrics->Add("mqo.bytes_cached", result.mqo.bytes_cached);
-    opts.metrics->Add("mqo.rule.extract_common_subplan.fires",
-                      result.mqo.rules.extract_common_subplan);
-    opts.metrics->Add("mqo.rule.push_agg_below_shared_join.fires",
-                      result.mqo.rules.push_agg_below_shared_join);
-    opts.metrics->Add("mqo.rule.prune_shared_columns.fires",
-                      result.mqo.rules.prune_shared_columns);
-    opts.metrics->Add("mqo.rule.collapse_select_project.fires",
-                      result.mqo.rules.collapse_select_project);
-    opts.metrics->Add("mqo.rule_fires", result.mqo.rules.Total());
   }
   return result;
 }

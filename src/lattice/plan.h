@@ -59,63 +59,6 @@ MaintenancePlan ChoosePlan(const rel::Catalog& catalog,
                            const VLattice& lattice,
                            const PlanOptions& options = {});
 
-/// Per-rule fire counts of the MQO rewrite engine (lattice/mqo.h). The
-/// rules run in this (catalog) order; every count is a pure function of
-/// the plan and change set, so the counts are identical across thread
-/// counts.
-struct MqoRuleFires {
-  size_t extract_common_subplan = 0;
-  size_t push_agg_below_shared_join = 0;
-  size_t prune_shared_columns = 0;
-  size_t collapse_select_project = 0;
-
-  size_t Total() const {
-    return extract_common_subplan + push_agg_below_shared_join +
-           prune_shared_columns + collapse_select_project;
-  }
-};
-
-/// Counters of the MQO layer for one batch. Detection/materialization/
-/// rule counts come from BuildMqoPlan; rows_reused and bytes_cached are
-/// filled by PropagateAll after the shared results exist. All values are
-/// thread-count-invariant.
-struct MqoStats {
-  /// Fingerprint buckets occurring in >= 2 maintenance plans.
-  size_t subplans_detected = 0;
-  /// Shared subplans actually materialized (<= detected: a bucket whose
-  /// readers are all covered by a longer shared prefix is skipped).
-  size_t subplans_materialized = 0;
-  /// Rows consumers read from shared results instead of recomputing:
-  /// sum over shared subplans of rows x (refs - 1).
-  size_t rows_reused = 0;
-  /// Total bytes held by the per-batch shared-result cache.
-  size_t bytes_cached = 0;
-  MqoRuleFires rules;
-};
-
-/// Execution record of one materialized shared subplan — the actuals
-/// side of the `shared(#k, refs=N)` EXPLAIN annotation. `executions` is
-/// the number of times the subplan was computed this batch; the MQO
-/// contract is that it is exactly 1.
-struct SharedExecution {
-  size_t id = 0;
-  /// Deterministic human label, e.g. "sd_SID_sales join stores".
-  std::string description;
-  /// View whose summary-delta feeds the subplan (root subplans) — nested
-  /// subplans scan another shared result instead (see `scans_shared`).
-  std::string parent_view;
-  std::optional<size_t> scans_shared;
-  /// Direct readers: consumer plan steps plus nested shared subplans.
-  size_t refs = 0;
-  size_t executions = 0;
-  size_t input_rows = 0;
-  size_t rows = 0;
-  size_t bytes = 0;
-  /// Wall time (non-deterministic; excluded from golden renderings).
-  double seconds = 0;
-  exec::OperatorStats ops;
-};
-
 /// Execution record of one plan step — the "actuals" side of
 /// EXPLAIN ANALYZE. Everything except `seconds` (and the wall_seconds
 /// inside `ops`) is a pure function of the plan and change set, so it is
@@ -132,13 +75,8 @@ struct StepExecution {
   /// from a wave-k parent. Computed identically on the serial and
   /// wave-scheduled paths.
   size_t wave = 0;
-  /// The step reads shared subplan #k instead of re-running the edge's
-  /// dimension joins over the parent delta (the `SharedScan(#k)` side of
-  /// the MQO rewrite).
-  std::optional<size_t> shared_scan;
   /// Rows fed into the step: the parent's summary-delta cardinality
-  /// (via edge), the shared result's cardinality (SharedScan), or the
-  /// prepare-changes relation size (from base).
+  /// (via edge) or the prepare-changes relation size (from base).
   size_t input_rows = 0;
   /// Rows in the step's summary-delta.
   size_t delta_rows = 0;
@@ -157,11 +95,6 @@ struct LatticePropagateResult {
   core::PropagateStats totals;
   /// Per-step execution records, parallel to plan.steps.
   std::vector<StepExecution> step_execs;
-  /// Per-shared-subplan execution records (empty when MQO is off or the
-  /// batch has no sharing), in shared-subplan id order.
-  std::vector<SharedExecution> shared_execs;
-  /// MQO counters for this batch (zeros when MQO is off).
-  MqoStats mqo;
 };
 
 /// Executes the plan against a change set: tops (and all views, without

@@ -24,6 +24,10 @@ constexpr const char* kCheckpointDir = "checkpoint";
 constexpr const char* kCheckpointTmp = "checkpoint.tmp";
 constexpr const char* kCheckpointPrev = "checkpoint.prev";
 constexpr const char* kSeqFile = "SEQ";
+// Capacity of the structured event ring buffer (events()).
+constexpr size_t kEventLogCapacity = 1024;
+// Flight-recorder retention: newest anomaly bundles kept on disk.
+constexpr size_t kMaxAnomalyBundles = 8;
 
 uint64_t ReadSeqFile(const fs::path& path) {
   std::ifstream in(path);
@@ -173,7 +177,7 @@ WarehouseService::WarehouseService(
       options_(std::move(options)),
       owned_metrics_(std::move(owned_metrics)),
       metrics_(options_.metrics),
-      events_(options_.event_log_capacity),
+      events_(kEventLogCapacity),
       slo_(options_.slo, metrics_),
       wal_(std::make_unique<WalWriter>((fs::path(data_dir_) / kWalFile).string(),
                                        start_seq + 1, options_.wal_sync,
@@ -212,7 +216,7 @@ WarehouseService::WarehouseService(
         std::make_unique<obs::AnomalyDetector>(options_.anomaly, metrics_);
     obs::FlightRecorder::Options rec;
     rec.dir = (fs::path(data_dir_) / "flightrec").string();
-    rec.max_bundles = options_.max_anomaly_bundles;
+    rec.max_bundles = kMaxAnomalyBundles;
     recorder_ = std::make_unique<obs::FlightRecorder>(std::move(rec), metrics_);
   }
   last_seq_.store(start_seq);
@@ -805,8 +809,6 @@ obs::Json WarehouseService::ConfigJson() const {
   }
   anomaly.Set("rules", std::move(rules));
   doc.Set("anomaly", std::move(anomaly));
-  doc.Set("max_anomaly_bundles", obs::Json::Int(static_cast<int64_t>(
-                                     options_.max_anomaly_bundles)));
   return doc;
 }
 

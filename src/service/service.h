@@ -69,8 +69,6 @@ class WarehouseService {
     /// spans until cleared, so attach one for bounded diagnosis
     /// sessions, not unbounded production serving.
     obs::Tracer* tracer = nullptr;
-    /// Capacity of the structured event ring buffer (events()).
-    size_t event_log_capacity = 1024;
     /// Snapshot queries slower than this record a SlowQuery event.
     double slow_query_threshold_seconds = 0.1;
     /// Staleness / refresh-window SLO targets (default: disabled).
@@ -101,8 +99,6 @@ class WarehouseService {
     /// detection writes a flight-recorder bundle under
     /// <data_dir>/flightrec/.
     obs::AnomalyConfig anomaly;
-    /// Flight-recorder retention: newest bundles kept on disk.
-    size_t max_anomaly_bundles = 8;
   };
 
   /// Point-in-time service numbers (the shell's `service stats`).

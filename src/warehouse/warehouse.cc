@@ -197,8 +197,6 @@ BatchReport Warehouse::RunBatch(const core::ChangeSet& changes) {
       lattice::PropagateAll(catalog_, lattice_, plan_, changes, popts);
   m.Set("batch.propagate_seconds", sw.ElapsedSeconds());
   report.step_execs = std::move(deltas.step_execs);
-  report.shared_execs = std::move(deltas.shared_execs);
-  report.mqo = deltas.mqo;
 
   sw.Reset();
   {
@@ -283,23 +281,16 @@ BatchReport Warehouse::RunBatch(const core::ChangeSet& changes) {
 
 lattice::ExplainResult Warehouse::Explain(
     const core::ChangeSet& changes) const {
-  if (options_.propagate.mqo_enabled) {
-    const lattice::MqoPlan mqo =
-        lattice::BuildMqoPlan(catalog_, lattice_, plan_, changes);
-    return lattice::BuildExplain(catalog_, lattice_, plan_, changes, &mqo);
-  }
   return lattice::BuildExplain(catalog_, lattice_, plan_, changes);
 }
 
 lattice::ExplainResult Warehouse::ExplainAnalyze(const core::ChangeSet& changes,
                                                  BatchReport* report) {
   // Estimates read the pre-change catalog (distinct counts, fan-in), so
-  // the tree is built before RunBatch applies the change set. The MQO
-  // plan is rebuilt here from the same inputs PropagateAll uses, so the
-  // annotations match what the batch executes.
+  // the tree is built before RunBatch applies the change set.
   lattice::ExplainResult explain = Explain(changes);
   BatchReport batch = RunBatch(changes);
-  lattice::AttachActuals(batch.step_execs, batch.shared_execs, &explain);
+  lattice::AttachActuals(batch.step_execs, &explain);
   for (const ViewBatchReport& vr : batch.views) {
     if (lattice::ExplainStep* step = explain.FindStep(vr.view)) {
       step->has_refresh = true;

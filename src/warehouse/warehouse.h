@@ -41,12 +41,6 @@ struct BatchReport {
   /// Per-plan-step execution records from the propagate phase, parallel
   /// to Warehouse::plan().steps — the actuals side of EXPLAIN ANALYZE.
   std::vector<lattice::StepExecution> step_execs;
-  /// Shared-subplan execution records from the batch's MQO plan (empty
-  /// when mqo_enabled is off or the batch had no sharing), plus the
-  /// batch's MQO counters — the shell's `mqo` report and the shared
-  /// actuals of EXPLAIN ANALYZE.
-  std::vector<lattice::SharedExecution> shared_execs;
-  lattice::MqoStats mqo;
 
   double maintenance_seconds() const {
     return propagate_seconds + refresh_seconds;

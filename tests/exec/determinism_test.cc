@@ -18,10 +18,12 @@
 #include <vector>
 
 #include "core/delta.h"
+#include "core/view_def.h"
 #include "obs/metrics.h"
 #include "relational/csv.h"
 #include "relational/packed_key.h"
 #include "service/service.h"
+#include "test_util.h"
 #include "warehouse/retail_schema.h"
 #include "warehouse/warehouse.h"
 #include "warehouse/workload.h"
@@ -236,13 +238,10 @@ TEST(DeterminismTest, ServiceCountersInvariantAcrossThreadCounts) {
   EXPECT_EQ(counters, eight.NonExecCounters());
 }
 
-// PR 9 satellite: MQO must be invisible in the results. On a view
-// family with real subplan sharing, the same randomized batch sequence
-// yields byte-identical summary tables with mqo_enabled on and off, at
-// every thread count — and the mqo.* counters themselves are a pure
-// function of the plan and change set, identical at 1, 2, and 8
-// threads.
-/// A view family with real join-subplan sharing for MQO to rewrite.
+/// Siblings that each re-join `stores` over the SID_sales summary-delta.
+/// With `lattice_friendly = false` no FD attributes are added, so the
+/// three stores-joining views stay incomparable and each derives from
+/// SID_sales through its own join, all three in one wave.
 std::vector<core::ViewDef> SharingViews() {
   auto view = [](const std::string& name,
                  std::vector<core::DimensionJoin> joins,
@@ -264,21 +263,21 @@ std::vector<core::ViewDef> SharingViews() {
           view("vCityDate", {stores}, {"city", "date"})};
 }
 
-TEST(DeterminismTest, MqoOnAndOffByteIdenticalAcrossThreadCounts) {
-  struct MqoInstance {
-    obs::MetricsRegistry metrics;
+// Sibling views re-joining one dimension over a shared parent delta
+// yield byte-identical summary tables at 1, 2, and 8 threads, and every
+// view equals its recomputation over the instance's catalog after each
+// batch.
+TEST(DeterminismTest, SiblingJoinViewsByteIdenticalAcrossThreadCounts) {
+  struct SiblingInstance {
     Warehouse wh;
-    MqoInstance(size_t num_threads, bool mqo,
-                const std::vector<core::ViewDef>& views)
+    explicit SiblingInstance(size_t num_threads)
         : wh(MakeRetailCatalog(SmallConfig()), [&] {
             Warehouse::Options options;
             options.lattice_friendly = false;
             options.num_threads = num_threads;
-            options.propagate.mqo_enabled = mqo;
-            options.metrics = &metrics;
             return options;
           }()) {
-      wh.DefineSummaryTables(views);
+      wh.DefineSummaryTables(SharingViews());
     }
     std::map<std::string, std::string> Snapshot() const {
       std::map<std::string, std::string> out;
@@ -287,97 +286,79 @@ TEST(DeterminismTest, MqoOnAndOffByteIdenticalAcrossThreadCounts) {
       }
       return out;
     }
-    std::map<std::string, uint64_t> MqoCounters() const {
-      std::map<std::string, uint64_t> out;
-      for (const auto& [name, value] : metrics.Snapshot().counters) {
-        if (name.rfind("mqo.", 0) == 0) out[name] = value;
-      }
-      return out;
-    }
   };
 
-  const std::vector<core::ViewDef> views = SharingViews();
-  MqoInstance on1(1, true, views);
-  MqoInstance on2(2, true, views);
-  MqoInstance on8(8, true, views);
-  MqoInstance off1(1, false, views);
+  SiblingInstance serial(1);
+  SiblingInstance two(2);
+  SiblingInstance eight(8);
 
   for (uint64_t seed : {71u, 72u, 73u}) {
     SCOPED_TRACE("batch seed " + std::to_string(seed));
-    for (MqoInstance* inst : {&on1, &on2, &on8, &off1}) {
+    for (SiblingInstance* inst : {&serial, &two, &eight}) {
       const core::ChangeSet changes =
           seed == 72u
               ? MakeInsertionGeneratingChanges(inst->wh.catalog(), 300, seed)
               : MakeUpdateGeneratingChanges(inst->wh.catalog(), 450, seed);
       inst->wh.RunBatch(changes);
+      for (const core::AugmentedView& av : inst->wh.vlattice().views) {
+        SCOPED_TRACE("view " + av.name() + ", " +
+                     std::to_string(inst->wh.num_threads()) + " threads");
+        sdelta::testing::ExpectBagEq(
+            core::EvaluateView(inst->wh.catalog(), av.physical),
+            inst->wh.summary(av.name()).ToTable());
+      }
     }
-    const auto expected = on1.Snapshot();
-    EXPECT_EQ(expected, on2.Snapshot());
-    EXPECT_EQ(expected, on8.Snapshot());
-    EXPECT_EQ(expected, off1.Snapshot());
+    const auto expected = serial.Snapshot();
+    EXPECT_EQ(expected, two.Snapshot());
+    EXPECT_EQ(expected, eight.Snapshot());
   }
-
-  const auto counters = on1.MqoCounters();
-  EXPECT_FALSE(counters.empty());
-  EXPECT_GT(counters.at("mqo.subplans_materialized"), 0u);
-  EXPECT_GT(counters.at("mqo.rows_reused"), 0u);
-  EXPECT_EQ(counters, on2.MqoCounters());
-  EXPECT_EQ(counters, on8.MqoCounters());
-  // mqo off: the series are absent entirely (no spurious zero counters
-  // from a disabled subsystem).
-  EXPECT_TRUE(off1.MqoCounters().empty());
 }
 
 // Epoch publication shares pages copy-on-write, so the rows it copies
 // depend only on which summary rows refresh wrote — the same at every
-// thread count, with MQO rewriting the maintenance plans or not.
-TEST(DeterminismTest, EpochRowsCopiedInvariantAcrossThreadsAndMqo) {
+// thread count.
+TEST(DeterminismTest, EpochRowsCopiedInvariantAcrossThreads) {
   namespace fs = std::filesystem;
   struct Run {
     size_t threads;
-    bool mqo;
     std::map<std::string, uint64_t> counters;
   };
   std::vector<Run> runs;
-  for (bool mqo : {true, false}) {
-    for (size_t threads : {1u, 2u, 8u}) {
-      const fs::path dir =
-          fs::temp_directory_path() /
-          ("sdelta_det_cow_" + std::to_string(::getpid()) + "_t" +
-           std::to_string(threads) + (mqo ? "_mqo" : ""));
-      fs::remove_all(dir);
-      service::WarehouseService::Options options;
-      options.auto_batching = false;
-      options.warehouse.num_threads = threads;
-      options.warehouse.lattice_friendly = false;
-      options.warehouse.propagate.mqo_enabled = mqo;
-      rel::Catalog mirror = MakeRetailCatalog(SmallConfig());
-      auto svc = service::WarehouseService::Open(
-          dir.string(), MakeRetailCatalog(SmallConfig()), SharingViews(),
-          options);
-      for (uint64_t seed : {41u, 42u, 43u}) {
-        core::ChangeSet changes =
-            seed == 42u ? MakeInsertionGeneratingChanges(mirror, 300, seed)
-                        : MakeUpdateGeneratingChanges(mirror, 400, seed);
-        core::ApplyChangeSet(mirror, changes);
-        svc->Append(std::move(changes));
-        svc->Flush();
-      }
-      std::map<std::string, uint64_t> counters;
-      for (const char* name :
-           {"service.epoch_rows_copied", "service.epoch_views_rebuilt",
-            "service.epoch_views_shared"}) {
-        counters[name] = svc->metrics().counter(name);
-      }
-      svc.reset();
-      fs::remove_all(dir);
-      runs.push_back({threads, mqo, std::move(counters)});
+  for (size_t threads : {1u, 2u, 8u}) {
+    const fs::path dir = fs::temp_directory_path() /
+                         ("sdelta_det_cow_" + std::to_string(::getpid()) +
+                          "_t" + std::to_string(threads));
+    fs::remove_all(dir);
+    service::WarehouseService::Options options;
+    options.auto_batching = false;
+    options.warehouse.num_threads = threads;
+    options.warehouse.lattice_friendly = false;
+    rel::Catalog mirror = MakeRetailCatalog(SmallConfig());
+    auto svc = service::WarehouseService::Open(
+        dir.string(), MakeRetailCatalog(SmallConfig()), SharingViews(),
+        options);
+    for (uint64_t seed : {41u, 42u, 43u}) {
+      core::ChangeSet changes =
+          seed == 42u ? MakeInsertionGeneratingChanges(mirror, 300, seed)
+                      : MakeUpdateGeneratingChanges(mirror, 400, seed);
+      core::ApplyChangeSet(mirror, changes);
+      svc->Append(std::move(changes));
+      svc->Flush();
     }
+    std::map<std::string, uint64_t> counters;
+    for (const char* name :
+         {"service.epoch_rows_copied", "service.epoch_views_rebuilt",
+          "service.epoch_views_shared"}) {
+      counters[name] = svc->metrics().counter(name);
+    }
+    svc.reset();
+    fs::remove_all(dir);
+    runs.push_back({threads, std::move(counters)});
   }
   EXPECT_GT(runs.front().counters.at("service.epoch_rows_copied"), 0u);
   for (const Run& run : runs) {
-    EXPECT_EQ(run.counters, runs.front().counters)
-        << run.threads << " threads, mqo " << (run.mqo ? "on" : "off");
+    EXPECT_EQ(run.counters, runs.front().counters) << run.threads
+                                                   << " threads";
   }
 }
 

@@ -319,30 +319,6 @@ TEST(PromLintTest, BundleCounterConsistencyIsChecked) {
   EXPECT_EQ(problems.size(), 2u);
 }
 
-TEST(PromLintTest, MqoCounterConsistencyIsChecked) {
-  const char* doc =
-      "# TYPE sdelta_mqo_subplans_detected_total counter\n"
-      "sdelta_mqo_subplans_detected_total 2\n"
-      "# TYPE sdelta_mqo_subplans_materialized_total counter\n"
-      "sdelta_mqo_subplans_materialized_total 3\n"
-      "# TYPE sdelta_mqo_rule_fires_total counter\n"
-      "sdelta_mqo_rule_fires_total 1\n";
-  const auto problems = LintPrometheusText(doc);
-  // materialized > detected and materialized > rule fires both fire.
-  EXPECT_EQ(problems.size(), 2u);
-}
-
-TEST(PromLintTest, ConsistentMqoCountersLintClean) {
-  const char* doc =
-      "# TYPE sdelta_mqo_subplans_detected_total counter\n"
-      "sdelta_mqo_subplans_detected_total 3\n"
-      "# TYPE sdelta_mqo_subplans_materialized_total counter\n"
-      "sdelta_mqo_subplans_materialized_total 2\n"
-      "# TYPE sdelta_mqo_rule_fires_total counter\n"
-      "sdelta_mqo_rule_fires_total 5\n";
-  EXPECT_TRUE(LintPrometheusText(doc).empty());
-}
-
 TEST(PromLintTest, AbsentDiagnosticFamiliesSkipTheCrossChecks) {
   // A service with the anomaly layer off exports neither series; the
   // cross-family checks must not demand them.

@@ -439,13 +439,6 @@ class Linter {
     // Every bundle is triggered by at least one detection.
     require_le("sdelta_anomaly_bundles_written_total",
                "sdelta_anomaly_detections_total");
-    // MQO: only detected subplans can be materialized, and every
-    // materialization is an extract-common-subplan rule fire, so total
-    // rule fires bound materializations from above.
-    require_le("sdelta_mqo_subplans_materialized_total",
-               "sdelta_mqo_subplans_detected_total");
-    require_le("sdelta_mqo_subplans_materialized_total",
-               "sdelta_mqo_rule_fires_total");
   }
 
   std::vector<std::string> errors_;

@@ -34,10 +34,8 @@ namespace sdelta::tools {
 ///   * diagnostic-layer semantics: events.*/anomaly.* samples are
 ///     non-negative, events_dropped <= events_recorded, events_occupancy
 ///     <= events_capacity, anomaly detections <= checks, and bundle
-///     counters (pruned <= written <= detections) stay consistent, and
-///     mqo counters obey materialized <= detected and materialized <=
-///     rule fires — each check applies only when both series appear in
-///     the document.
+///     counters (pruned <= written <= detections) stay consistent — each
+///     check applies only when both series appear in the document.
 ///
 /// Returns the list of problems, one human-readable line each, with
 /// 1-based line numbers; empty = the document lints clean.
